@@ -10,7 +10,6 @@ composition never seen in any train sample.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -81,65 +80,36 @@ class Composition:
             return "VV"
         return "LV"
 
-    def encoding(self) -> str:
-        return "||".join("|".join(primitive_key(p)) for p in self.pair)
 
-    def hash64(self) -> int:
-        digest = hashlib.blake2b(self.encoding().encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
-
-
-def sample_primitives(
-    sample: Sample, lexicon: Lexicon, stoplist: Iterable[str] = ()
-) -> set[Primitive]:
+def sample_primitives(sample: Sample, lexicon: Lexicon) -> set[Primitive]:
     """Union of a sample's linguistic and visual primitives."""
-    ling, _ = extract_linguistic(sample.question, lexicon, stoplist)
+    ling, _ = extract_linguistic(sample.question, lexicon)
     vis, _ = extract_visual(sample.scene_graph)
     return ling | vis
 
 
-def compositions_of(
-    sample: Sample, lexicon: Lexicon, stoplist: Iterable[str] = ()
-) -> set[Composition]:
-    """All unordered pairs over the sample's primitive union."""
-    primitives = sorted(sample_primitives(sample, lexicon, stoplist), key=primitive_key)
-    return {Composition.of(p1, p2) for p1, p2 in combinations(primitives, 2)}
+def compositions_of(primitives: Iterable[Primitive]) -> set[Composition]:
+    """All unordered pairs over one sample's primitive union."""
+    ordered = sorted(primitives, key=primitive_key)
+    return {Composition.of(p1, p2) for p1, p2 in combinations(ordered, 2)}
 
 
 @dataclass(frozen=True)
 class TrainSignature:
-    """Seen primitives and 64-bit hashes of seen compositions.
-
-    Compositions are stored hashed to keep the signature compact; a
-    collision audit runs during construction and refuses ambiguous hashes.
-    """
+    """Primitives and compositions seen in the train split."""
 
     primitive_set: frozenset[Primitive]
-    composition_hashes: frozenset[int]
-
-    def has_primitive(self, p: Primitive) -> bool:
-        return p in self.primitive_set
-
-    def has_composition(self, c: Composition) -> bool:
-        return c.hash64() in self.composition_hashes
+    compositions: frozenset[Composition]
 
 
-def train_signature(
-    corpus: Corpus, lexicon: Lexicon, stoplist: Iterable[str] = ()
-) -> TrainSignature:
+def train_signature(corpus: Corpus, lexicon: Lexicon) -> TrainSignature:
     primitives: set[Primitive] = set()
-    hashes: dict[int, str] = {}
+    compositions: set[Composition] = set()
     for sample in corpus.samples:
-        primitives |= sample_primitives(sample, lexicon, stoplist)
-        for comp in compositions_of(sample, lexicon, stoplist):
-            h = comp.hash64()
-            enc = comp.encoding()
-            previous = hashes.setdefault(h, enc)
-            if previous != enc:
-                raise BenchmarkError(
-                    f"64-bit composition hash collision: {previous!r} vs {enc!r}"
-                )
-    return TrainSignature(frozenset(primitives), frozenset(hashes))
+        sample_prims = sample_primitives(sample, lexicon)
+        primitives |= sample_prims
+        compositions |= compositions_of(sample_prims)
+    return TrainSignature(frozenset(primitives), frozenset(compositions))
 
 
 @dataclass(frozen=True)
@@ -154,10 +124,7 @@ class Candidate:
 
 
 def filter_candidates(
-    val_corpus: Corpus,
-    signature: TrainSignature,
-    lexicon: Lexicon,
-    stoplist: Iterable[str] = (),
+    val_corpus: Corpus, signature: TrainSignature, lexicon: Lexicon
 ) -> tuple[list[Candidate], int]:
     """Admit samples whose primitives are all seen but whose compositions
     are not.  Returns (candidates, count of samples skipped for having no
@@ -168,13 +135,10 @@ def filter_candidates(
         if not sample.scene_graph.objects:
             skipped += 1
             continue
-        primitives = sample_primitives(sample, lexicon, stoplist)
-        if not all(signature.has_primitive(p) for p in primitives):
+        primitives = sample_primitives(sample, lexicon)
+        if not primitives <= signature.primitive_set:
             continue
-        novel = [
-            c for c in compositions_of(sample, lexicon, stoplist)
-            if not signature.has_composition(c)
-        ]
+        novel = compositions_of(primitives) - signature.compositions
         if not novel:
             continue
         types = frozenset(c.comp_type for c in novel)
@@ -261,25 +225,27 @@ def verify_splits(
     train_corpus: Corpus,
     val_corpus: Corpus,
     lexicon: Lexicon,
-    stoplist: Iterable[str] = (),
 ) -> VerificationReport:
-    """Re-derive every emitted test sample from scratch, without hashing.
+    """Re-derive every emitted test sample from scratch, with plain
+    primitive-key pairs instead of the builder's ``Composition`` path.
 
     Checks, per sample: all primitives appear in the train split, at least
     one composition is unseen, and the split label equals the brute-force
     novel-type set.  Also checks pairwise disjointness of the splits.
     """
 
-    def plain_pairs(sample: Sample) -> set[frozenset[tuple]]:
-        prims = sample_primitives(sample, lexicon, stoplist)
-        keys = [primitive_key(p) for p in prims]
+    def primitive_keys(sample: Sample) -> set[tuple]:
+        return {primitive_key(p) for p in sample_primitives(sample, lexicon)}
+
+    def plain_pairs(keys: set[tuple]) -> set[frozenset[tuple]]:
         return {frozenset((k1, k2)) for k1 in keys for k2 in keys if k1 != k2}
 
     train_primitives: set[tuple] = set()
     train_pairs: set[frozenset[tuple]] = set()
     for sample in train_corpus.samples:
-        train_primitives |= {primitive_key(p) for p in sample_primitives(sample, lexicon, stoplist)}
-        train_pairs |= plain_pairs(sample)
+        keys = primitive_keys(sample)
+        train_primitives |= keys
+        train_pairs |= plain_pairs(keys)
 
     val_by_id = {s.question.id: s for s in val_corpus.samples}
     report = VerificationReport()
@@ -308,14 +274,14 @@ def verify_splits(
             if sample is None:
                 report.failures.append(f"{sample_id}: not found in the validation corpus")
                 continue
-            prims = {primitive_key(p) for p in sample_primitives(sample, lexicon, stoplist)}
+            prims = primitive_keys(sample)
             unseen_prims = prims - train_primitives
             if unseen_prims:
                 report.failures.append(
                     f"{sample_id}: primitives unseen in train: {sorted(unseen_prims)}"
                 )
                 continue
-            novel = plain_pairs(sample) - train_pairs
+            novel = plain_pairs(prims) - train_pairs
             if not novel:
                 report.failures.append(f"{sample_id}: no novel composition")
                 continue

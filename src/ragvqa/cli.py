@@ -1,6 +1,5 @@
-"""Command-line surface: corpus generation, database and benchmark builds,
-training, evaluation, the ablation harness, gradient checking, and split
-verification.
+"""Command-line surface: corpus generation, benchmark builds, training,
+evaluation, the ablation harness, gradient checking, and split verification.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 verification
 failure.
@@ -69,22 +68,6 @@ def cmd_gen_synth(args) -> int:
     _write_corpus(train, out / "train")
     _write_corpus(val, out / "val")
     print(f"wrote {len(train.samples)} train and {len(val.samples)} val samples to {out}")
-    return EXIT_OK
-
-
-def cmd_build_db(args) -> int:
-    train, _val = _load_corpora(Path(args.data))
-    lexicon = _lexicon(args)
-    db_q = primdb.build_dq(train, args.t_q, args.seed, lexicon)
-    db_v = primdb.build_dv(train, args.t_v, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    primdb.write_db_manifest(db_q, out / "dq_manifest.jsonl")
-    primdb.write_db_manifest(db_v, out / "dv_manifest.jsonl")
-    n_q = sum(len(v) for v in db_q.entries.values())
-    n_v = sum(len(v) for v in db_v.entries.values())
-    print(f"built D_q ({len(db_q.entries)} primitives, {n_q} entries) "
-          f"and D_v ({len(db_v.entries)} labels, {n_v} entries)")
     return EXIT_OK
 
 
@@ -272,15 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
-
-    p = sub.add_parser("build-db", help="build the primitive databases")
-    p.add_argument("--data", required=True, help="directory with train/ and val/")
-    p.add_argument("--t-q", type=int, default=8)
-    p.add_argument("--t-v", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lexicon")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("build-benchmark", help="build the seven compositional test splits")
     p.add_argument("--data", required=True)

@@ -1,14 +1,17 @@
-"""Experiment configuration: key-value file parsing, named presets, and the
-resolved-config serialization written into run directories."""
+"""Experiment configuration: typed keys for the shared key-value file
+parser, named presets, and the resolved-config serialization written into
+run directories."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
-from .ragtrain import AGGREGATION_MODES, AggregationConfig, TrainConfig
+from .corpus import parse_kv_file
+from .ragtrain import AggregationConfig, TrainConfig
 
-__all__ = ["ExperimentConfig", "PRESETS", "parse_kv_file", "load_experiment_config"]
+__all__ = ["ExperimentConfig", "PRESETS", "load_experiment_config"]
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,9 @@ class ExperimentConfig:
     d_h: int = 32
 
     def __post_init__(self) -> None:
-        if self.mode not in AGGREGATION_MODES:
-            raise ValueError(f"unknown aggregation mode {self.mode!r}")
+        # the run configs own their range checks; building them validates
+        self.aggregation()
+        self.training()
         if self.t_q < 1 or self.t_v < 1:
             raise ValueError("database sample caps must be >= 1")
 
@@ -60,40 +64,17 @@ PRESETS: dict[str, dict] = {
     "vqa2": dict(w_q=0.6, w_v=0.4, k_q=4, k_v=4, t_q=1, t_v=32),
 }
 
-_BOOL_KEYS = {"use_dq", "use_dv"}
-_INT_KEYS = {"k_q", "k_v", "t_q", "t_v", "refresh_every", "epochs", "seed", "d", "d_h"}
-_FLOAT_KEYS = {"w_q", "w_v", "lr"}
-_STR_KEYS = {"mode", "preset"}
-
-
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+_KEY_TYPES = get_type_hints(ExperimentConfig)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _coerce(key: str, value: str):
-    if key in _BOOL_KEYS:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
+    kind = _KEY_TYPES[key]
+    if kind is not bool:
+        return kind(value)
+    if value.lower() not in _BOOLEANS:
         raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _STR_KEYS:
-        return value
-    raise ValueError(f"unknown config key {key!r}")
+    return _BOOLEANS[value.lower()]
 
 
 def load_experiment_config(
@@ -101,18 +82,17 @@ def load_experiment_config(
     preset: str | None = None,
     overrides: dict | None = None,
 ) -> ExperimentConfig:
-    """Resolve: defaults, then preset, then config file, then flag overrides."""
-    config = ExperimentConfig()
+    """Resolve: defaults, then preset, then config file, then flag overrides.
+
+    The result is validated once, after all layers are applied.
+    """
     file_values = {}
     if path is not None:
-        file_values = {k: _coerce(k, v) for k, v in parse_kv_file(path).items()}
+        file_values = {k: _coerce(k, v) for k, v in parse_kv_file(path, _KEY_TYPES).items()}
     preset_name = preset or file_values.get("preset") or ""
-    if preset_name:
-        if preset_name not in PRESETS:
-            raise ValueError(f"unknown preset {preset_name!r} (have: {sorted(PRESETS)})")
-        config = replace(config, preset=preset_name, **PRESETS[preset_name])
-    if file_values:
-        config = replace(config, **file_values)
-    if overrides:
-        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    return config
+    if preset_name and preset_name not in PRESETS:
+        raise ValueError(f"unknown preset {preset_name!r} (have: {sorted(PRESETS)})")
+    values = {**PRESETS.get(preset_name, {}), **file_values}
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    values["preset"] = preset_name
+    return ExperimentConfig(**values)

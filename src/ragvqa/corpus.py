@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 __all__ = [
     "CorpusError",
@@ -32,6 +32,7 @@ __all__ = [
     "load_corpus",
     "save_corpus",
     "SynthConfig",
+    "parse_kv_file",
     "parse_synth_config",
     "generate_synthetic",
 ]
@@ -109,14 +110,12 @@ class IngestReport:
 _REQUIRED_FIELDS = ("id", "image_id", "question", "answer")
 
 
-def load_questions(path: str | Path, format: str = "jsonl") -> list[QuestionRecord]:
-    """Read question+answer records in file order.
+def load_questions(path: str | Path) -> list[QuestionRecord]:
+    """Read question+answer records from a JSON-lines file, in file order.
 
     Malformed records are reported with their line number; a missing field
     or a duplicate id is an ingestion error.
     """
-    if format != "jsonl":
-        raise IngestionError(f"unsupported questions format: {format!r}")
     records: list[QuestionRecord] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -301,8 +300,13 @@ class SynthConfig:
         return tuple(a for a in self.attributes if a in _KNOWN_COLORS)
 
 
-def parse_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
-    """Parse the key-value synth config file; returns (config, seed or None)."""
+def parse_kv_file(path: str | Path, keys: Iterable[str]) -> dict[str, str]:
+    """Read a "key = value" file into raw strings.
+
+    Blank lines and ``#`` comments are skipped. A line without ``=`` or a key
+    outside ``keys`` is a configuration error naming its line.
+    """
+    known = set(keys)
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -310,19 +314,32 @@ def parse_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigurationError(f"line {lineno}: expected 'key = value'")
+                raise ConfigurationError(f"{path}, line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in known:
+                raise ConfigurationError(
+                    f"{path}, line {lineno}: unknown key {key!r} (known: {sorted(known)})"
+                )
+            values[key] = value.strip()
+    return values
+
+
+def parse_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
+    """Parse the key-value synth config file; returns (config, seed or None).
+
+    Inventory keys take comma-separated lists; the key types are the
+    ``SynthConfig`` field types.
+    """
+    kinds = get_type_hints(SynthConfig)
+    values = parse_kv_file(path, [*kinds, "seed"])
+    seed = int(values.pop("seed")) if "seed" in values else None
     kwargs: dict = {}
-    for list_key in ("categories", "attributes", "templates"):
-        if list_key in values:
-            kwargs[list_key] = tuple(v.strip() for v in values[list_key].split(",") if v.strip())
-    for int_key in ("n_train", "n_val"):
-        if int_key in values:
-            kwargs[int_key] = int(values[int_key])
-    if "holdout_fraction" in values:
-        kwargs["holdout_fraction"] = float(values["holdout_fraction"])
-    seed = int(values["seed"]) if "seed" in values else None
+    for key, value in values.items():
+        if kinds[key] in (int, float):
+            kwargs[key] = kinds[key](value)
+        else:  # tuple[str, ...]
+            kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
     return SynthConfig(**kwargs), seed
 
 
@@ -568,7 +585,7 @@ class _Generator:
                     objects.append((c, ()))
                 else:
                     # reuse the LL question's attribute if it also has an LV partner
-                    lv_cats = [cc for (aa, cc) in self.h_lv if aa == q_attr]
+                    lv_cats = [cc for (aa, cc) in sorted(self.h_lv) if aa == q_attr]
                     if not lv_cats:
                         continue
                     objects.append((rng.choice(lv_cats), ()))

@@ -1,8 +1,7 @@
 """Evaluation per split/level and the ablation harness.
 
-Evaluation runs without retrieval augmentation by default (retrieval is a
-training-time mechanism); ``augmented=True`` enables test-time augmentation
-for exploration.
+Evaluation runs on the plain encoders: retrieval is a training-time
+mechanism.
 """
 
 from __future__ import annotations
@@ -13,23 +12,10 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
-
 from .benchmark import LEVELS, SPLIT_LABELS
 from .corpus import Corpus
-from .model import (
-    ParamSet,
-    Vocabularies,
-    encode_image,
-    encode_question,
-    forward,
-    predict_answer,
-    question_token_ids,
-    scene_object_ids,
-)
-from .primdb import FeatureIndex
-from .primitives import Lexicon
-from .ragtrain import AggregationConfig, augment_sample
+from .model import ParamSet, Vocabularies, predict_answer
+from .ragtrain import AggregationConfig
 
 __all__ = [
     "EvalError",
@@ -37,7 +23,6 @@ __all__ = [
     "config_fingerprint",
     "evaluate",
     "ablation_grid",
-    "weight_sweep_grid",
     "run_ablation",
     "AblationRow",
 ]
@@ -74,34 +59,12 @@ def config_fingerprint(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _predict(
-    params: ParamSet,
-    vocabs: Vocabularies,
-    sample,
-    lexicon: Lexicon | None,
-    index_q: FeatureIndex | None,
-    index_v: FeatureIndex | None,
-    agg_config: AggregationConfig | None,
-) -> str:
-    if agg_config is None:
-        return predict_answer(params, vocabs, sample)
-    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, agg_config)
-    q = augmented.q_features if augmented.q_delta is None else augmented.q_features + augmented.q_delta
-    v = augmented.v_features if augmented.v_delta is None else augmented.v_features + augmented.v_delta
-    probs = forward(params, q, v)
-    return vocabs.answers[int(np.argmax(probs))]
-
-
 def evaluate(
     params: ParamSet,
     vocabs: Vocabularies,
     splits: dict[str, list[str]],
     corpus: Corpus,
     fingerprint: str = "",
-    lexicon: Lexicon | None = None,
-    index_q: FeatureIndex | None = None,
-    index_v: FeatureIndex | None = None,
-    agg_config: AggregationConfig | None = None,
 ) -> EvalReport:
     """Exact-match accuracy per split, per level, and overall.
 
@@ -120,8 +83,7 @@ def evaluate(
                 raise EvalError(f"split {label} references missing sample {sample_id!r}")
             if sample.answer not in known_answers:
                 continue
-            predicted = _predict(params, vocabs, sample, lexicon, index_q, index_v, agg_config)
-            if predicted == sample.answer:
+            if predict_answer(params, vocabs, sample) == sample.answer:
                 correct += 1
         per_split_counts[label] = (correct, len(ids))
 
@@ -159,13 +121,6 @@ def ablation_grid(base: AggregationConfig) -> list[tuple[str, AggregationConfig 
         ("dv_only", replace(base, use_dq=False, use_dv=True)),
         ("both", base),
     ]
-
-
-def weight_sweep_grid(
-    base: AggregationConfig, weights: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8)
-) -> list[tuple[str, AggregationConfig]]:
-    """Equal-weight sweep (w_q = w_v) for parameter-analysis plots."""
-    return [(f"w_{w:g}", replace(base, w_q=w, w_v=w)) for w in weights]
 
 
 @dataclass

@@ -182,14 +182,10 @@ def encode_question(params: ParamSet, token_ids: Sequence[int]) -> np.ndarray:
 
 
 def encode_image(
-    params: ParamSet,
-    objects: Sequence[tuple[int, tuple[int, ...]]],
-    allow_empty: bool = False,
+    params: ParamSet, objects: Sequence[tuple[int, tuple[int, ...]]]
 ) -> np.ndarray:
     """Object features: tanh(category embedding + mean attribute embedding)."""
     if len(objects) == 0:
-        if allow_empty:
-            return np.empty((0, params.d))
         raise ModelError("cannot encode a scene graph with no objects")
     out = np.empty((len(objects), params.d))
     for i, (cat_id, attr_ids) in enumerate(objects):
@@ -497,10 +493,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, Vocabularies]:
             if len(buf) != count * 8:
                 raise ModelError(f"truncated checkpoint while reading {name!r}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ModelError("trailing bytes after the last parameter group")
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text("utf-8"))
     vocabs = Vocabularies(
         words={k: int(v) for k, v in sidecar["words"].items()},
         labels={k: int(v) for k, v in sidecar["labels"].items()},
         answers=tuple(sidecar["answers"]),
     )
+    for field_name, size, rows in (
+        ("words", len(vocabs.words), n_words),
+        ("labels", len(vocabs.labels), n_labels),
+        ("answers", len(vocabs.answers), n_answers),
+    ):
+        if size != rows:
+            raise ModelError(
+                f"sidecar has {size} {field_name} but the checkpoint expects {rows}"
+            )
     return ParamSet(**arrays), vocabs

@@ -9,25 +9,15 @@ broken by insertion ordinal.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus
 from .model import ParamSet, Vocabularies, encode_image, encode_question, question_token_ids, scene_object_ids
-from .primitives import (
-    Lexicon,
-    Modality,
-    PartOfSpeech,
-    Primitive,
-    extract_linguistic,
-    extract_visual,
-    primitive_key,
-)
+from .primitives import Lexicon, Primitive, extract_linguistic, extract_visual, primitive_key
 
 __all__ = [
     "RetrievalError",
@@ -42,8 +32,6 @@ __all__ = [
     "encode_index",
     "cosine",
     "retrieve",
-    "write_db_manifest",
-    "load_db_manifest",
 ]
 
 log = logging.getLogger(__name__)
@@ -117,7 +105,7 @@ class RetrievalResult:
         return len(self.items)
 
 
-def build_dq(corpus: Corpus, t_q: int, seed: int, lexicon: Lexicon, stoplist=()) -> LinguisticDB:
+def build_dq(corpus: Corpus, t_q: int, seed: int, lexicon: Lexicon) -> LinguisticDB:
     """Sample up to ``t_q`` distinct questions per linguistic primitive.
 
     One entry per sampled question, at the primitive's first occurrence;
@@ -127,7 +115,7 @@ def build_dq(corpus: Corpus, t_q: int, seed: int, lexicon: Lexicon, stoplist=())
         raise ValueError("t_q must be >= 1")
     contexts: dict[Primitive, dict[str, int]] = {}
     for sample in corpus.samples:
-        _prims, occurrences = extract_linguistic(sample.question, lexicon, stoplist)
+        _prims, occurrences = extract_linguistic(sample.question, lexicon)
         for occ in occurrences:
             positions = contexts.setdefault(occ.primitive, {})
             positions.setdefault(occ.sample_id, occ.position)
@@ -236,7 +224,7 @@ def retrieve(
 
     Records whose source id equals ``exclude_source`` never participate.
     Returns fewer than K items when the index is small; an empty index
-    yields an empty result with a warning.
+    yields an empty result with a warning. A non-finite query is an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -245,6 +233,8 @@ def retrieve(
         return RetrievalResult(items=())
     if query.shape != (index.dim,):
         raise RetrievalError(f"query dimension {query.shape} != index dimension ({index.dim},)")
+    if not np.all(np.isfinite(query)):
+        raise RetrievalError("non-finite query vector")
 
     if exclude_source is None:
         candidate = np.arange(index.size)
@@ -273,49 +263,3 @@ def retrieve(
         for i in order
     )
     return RetrievalResult(items=items)
-
-
-# ---------------------------------------------------------------------------
-# Manifest file: JSON-lines of {primitive, modality, pos, source_id, position}
-# ---------------------------------------------------------------------------
-
-
-def write_db_manifest(db: LinguisticDB | VisualDB, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for primitive, sources in db.entries.items():
-            for source_id, position in sources:
-                fh.write(
-                    json.dumps(
-                        {
-                            "primitive": primitive.name,
-                            "modality": primitive.modality.value,
-                            "pos": primitive.pos.value if primitive.pos else None,
-                            "source_id": source_id,
-                            "position": position,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-
-
-def load_db_manifest(path: str | Path, cap: int) -> LinguisticDB | VisualDB:
-    entries: dict[Primitive, list[tuple[str, int]]] = {}
-    modality: Modality | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            primitive = Primitive(
-                raw["primitive"],
-                Modality(raw["modality"]),
-                PartOfSpeech(raw["pos"]) if raw["pos"] else None,
-            )
-            modality = primitive.modality
-            entries.setdefault(primitive, []).append((raw["source_id"], raw["position"]))
-    frozen = {p: tuple(v) for p, v in entries.items()}
-    if modality is Modality.VISUAL:
-        return VisualDB(entries=frozen, cap=cap)
-    return LinguisticDB(entries=frozen, cap=cap)

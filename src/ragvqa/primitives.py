@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterable
 
 __all__ = [
     "Modality",
@@ -197,16 +196,12 @@ def lemmatize(token: str, pos: PartOfSpeech, lexicon: Lexicon) -> str:
 
 
 def extract_linguistic(
-    question,
-    lexicon: Lexicon,
-    stoplist: Iterable[str] = (),
+    question, lexicon: Lexicon
 ) -> tuple[set[Primitive], list[PrimitiveOccurrence]]:
     """Open-class lemmas of a question as linguistic primitives.
 
-    ``question`` needs ``id`` and ``text`` attributes. The stoplist (off by
-    default) removes configured function lemmas such as "be".
+    ``question`` needs ``id`` and ``text`` attributes.
     """
-    stop = frozenset(stoplist)
     tokens = tokenize(question.text)
     tags = pos_tag(tokens, lexicon)
     primitives: set[Primitive] = set()
@@ -214,10 +209,7 @@ def extract_linguistic(
     for position, (token, tag) in enumerate(zip(tokens, tags)):
         if tag not in OPEN_CLASS:
             continue
-        lemma = lemmatize(token, tag, lexicon)
-        if lemma in stop:
-            continue
-        primitive = Primitive(lemma, Modality.LINGUISTIC, tag)
+        primitive = Primitive(lemmatize(token, tag, lexicon), Modality.LINGUISTIC, tag)
         primitives.add(primitive)
         occurrences.append(PrimitiveOccurrence(primitive, question.id, position))
     return primitives, occurrences

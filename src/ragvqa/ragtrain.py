@@ -84,7 +84,6 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 0.05
     seed: int = 0
-    val_every: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -276,7 +275,7 @@ def train(
             "val_accuracy": None,
             "snapshot_version": snapshot_version,
         }
-        if val_corpus is not None and epoch % train_config.val_every == 0:
+        if val_corpus is not None:
             entry["val_accuracy"] = corpus_accuracy(params, vocabs, val_corpus.samples)
         metrics.append(entry)
         log.info(

@@ -18,7 +18,7 @@ from ragvqa.benchmark import (
     write_splits,
 )
 from ragvqa.corpus import Corpus
-from ragvqa.primitives import Modality, PartOfSpeech, Primitive
+from ragvqa.primitives import Modality, PartOfSpeech, Primitive, primitive_key
 
 from conftest import make_corpus, make_sample
 
@@ -45,7 +45,7 @@ def test_composition_requires_distinct_primitives():
 
 def test_composition_is_unordered():
     assert Composition.of(WHITE_L, DOG_V) == Composition.of(DOG_V, WHITE_L)
-    assert Composition.of(WHITE_L, DOG_V).hash64() == Composition.of(DOG_V, WHITE_L).hash64()
+    assert len({Composition.of(WHITE_L, DOG_V), Composition.of(DOG_V, WHITE_L)}) == 1
 
 
 def test_composition_same_name_cross_modal_is_lv():
@@ -60,14 +60,14 @@ def test_compositions_of_counts_pairs(lexicon):
         "Is the white dog small?", [("dog", {"white"}), ("grass", set())], "no"
     )
     prims = sample_primitives(sample, lexicon)
-    comps = compositions_of(sample, lexicon)
+    comps = compositions_of(prims)
     u = len(prims)
     assert len(comps) == u * (u - 1) // 2
 
 
 def test_compositions_of_single_primitive_union(lexicon):
     sample = make_sample("the the the", [("dog", set())], "no")
-    assert compositions_of(sample, lexicon) == set()
+    assert compositions_of(sample_primitives(sample, lexicon)) == set()
     assert len(sample_primitives(sample, lexicon)) == 1
 
 
@@ -78,7 +78,7 @@ def test_train_signature_empty_corpus(lexicon):
     empty = Corpus((), (), "train")
     sig = train_signature(empty, lexicon)
     assert sig.primitive_set == frozenset()
-    assert sig.composition_hashes == frozenset()
+    assert sig.compositions == frozenset()
 
 
 def test_train_signature_single_sample(lexicon):
@@ -86,7 +86,7 @@ def test_train_signature_single_sample(lexicon):
     corpus = make_corpus([make_sample("the dog?", [("dog", {"white"})], "yes")])
     sig = train_signature(corpus, lexicon)
     assert len(sig.primitive_set) == 3
-    assert len(sig.composition_hashes) == 3  # C(3, 2)
+    assert len(sig.compositions) == 3  # C(3, 2)
 
 
 def test_train_signature_order_independent(lexicon, small_pair):
@@ -101,7 +101,7 @@ def test_train_signature_monotone_in_corpus(lexicon, small_pair):
     sig_part = train_signature(part, lexicon)
     sig_full = train_signature(train_corpus, lexicon)
     assert sig_part.primitive_set <= sig_full.primitive_set
-    assert sig_part.composition_hashes <= sig_full.composition_hashes
+    assert sig_part.compositions <= sig_full.compositions
 
 
 # -- filter_candidates -----------------------------------------------------------
@@ -150,6 +150,37 @@ def test_filter_skips_empty_scene_graphs(lexicon):
     candidates, skipped = filter_candidates(val, sig, lexicon)
     assert candidates == []
     assert skipped == 1
+
+
+def test_filter_is_complete_against_brute_force(lexicon, small_pair):
+    """Every val sample a plain pair enumeration admits is admitted, and
+    nothing else, with the same novel types and counts."""
+    train_corpus, val_corpus = small_pair
+
+    def keyed(sample):
+        return {primitive_key(p) for p in sample_primitives(sample, lexicon)}
+
+    def pairs(keys):
+        return {frozenset((k1, k2)) for k1 in keys for k2 in keys if k1 != k2}
+
+    pair_type = {("linguistic",): "LL", ("visual",): "VV", ("linguistic", "visual"): "LV"}
+    seen_keys, seen_pairs = set(), set()
+    for sample in train_corpus.samples:
+        keys = keyed(sample)
+        seen_keys |= keys
+        seen_pairs |= pairs(keys)
+    expected = {}
+    for sample in val_corpus.samples:
+        keys = keyed(sample)
+        novel = pairs(keys) - seen_pairs
+        if sample.scene_graph.objects and keys <= seen_keys and novel:
+            types = {pair_type[tuple(sorted({k[0] for k in pair}))] for pair in novel}
+            expected[sample.question.id] = (frozenset(types), len(novel))
+
+    candidates, _ = filter_candidates(val_corpus, train_signature(train_corpus, lexicon), lexicon)
+    admitted = {c.sample_id: (c.novel_types, c.novel_composition_count) for c in candidates}
+    assert admitted == expected
+    assert len(admitted) > 0
 
 
 # -- classify ----------------------------------------------------------------------

@@ -15,13 +15,11 @@ seed = 7
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """One full CLI pipeline: gen-synth -> build-db -> build-benchmark."""
+    """One full CLI pipeline: gen-synth -> build-benchmark."""
     root = tmp_path_factory.mktemp("cli")
     (root / "synth.cfg").write_text(SYNTH_CONFIG, "utf-8")
     data = root / "data"
     assert main(["gen-synth", "--config", str(root / "synth.cfg"), "--out", str(data)]) == 0
-    db = root / "db"
-    assert main(["build-db", "--data", str(data), "--out", str(db)]) == 0
     bench = root / "bench"
     assert main([
         "build-benchmark", "--data", str(data), "--n-per-split", "15",
@@ -38,12 +36,6 @@ def test_gen_synth_writes_both_splits(workspace):
     n_train = sum(1 for _ in open(data / "train" / "questions.jsonl"))
     n_val = sum(1 for _ in open(data / "val" / "questions.jsonl"))
     assert (n_train, n_val) == (300, 150)
-
-
-def test_build_db_writes_manifests(workspace):
-    db = workspace / "db"
-    assert (db / "dq_manifest.jsonl").exists()
-    assert (db / "dv_manifest.jsonl").exists()
 
 
 def test_build_benchmark_writes_splits_and_report(workspace):
@@ -154,7 +146,7 @@ def test_missing_required_flag_is_usage_error():
 
 def test_missing_data_directory_is_runtime_error(tmp_path, capsys):
     code = main([
-        "build-db", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "db"),
+        "build-benchmark", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "bench"),
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,35 @@ def test_generate_synthetic_deterministic(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+_WIDE_PAIR_DUMP = """
+import json
+from ragvqa.corpus import SynthConfig, generate_synthetic
+categories = tuple("dog cat bird horse car bus tree flower chair table ball book shoe cup "
+                   "hat box boat lamp door plate".split())
+attributes = tuple("white black red blue green brown yellow gray purple orange small big "
+                   "tall round old wooden".split())
+_, val = generate_synthetic(SynthConfig(categories=categories, attributes=attributes), 0)
+print(json.dumps([
+    (s.question.text, [(o.category, sorted(o.attributes)) for o in s.scene_graph.objects])
+    for s in val.samples
+]))
+"""
+
+
+def test_generate_synthetic_independent_of_hash_seed():
+    """The wide 20x16 inventory's val split must not follow set iteration order."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _WIDE_PAIR_DUMP],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+
+
 def test_generate_synthetic_seed_changes_output():
     a_train, _ = generate_synthetic(SMALL_SYNTH, seed=0)
     b_train, _ = generate_synthetic(SMALL_SYNTH, seed=1)
@@ -233,6 +266,12 @@ def test_parse_synth_config(tmp_path):
     assert config.n_train == 300
     assert config.holdout_fraction == 0.2
     assert seed == 11
+
+
+def test_parse_synth_config_rejects_unknown_key(tmp_path):
+    path = _write(tmp_path / "synth.cfg", ["n_trian = 300"])
+    with pytest.raises(ConfigurationError, match="line 1.*'n_trian'"):
+        parse_synth_config(path)
 
 
 def test_parse_synth_config_rejects_garbage(tmp_path):

@@ -10,7 +10,6 @@ from ragvqa.evaluation import (
     config_fingerprint,
     evaluate,
     run_ablation,
-    weight_sweep_grid,
 )
 from ragvqa.model import build_vocabularies, init_params, predict_answer
 from ragvqa.ragtrain import AggregationConfig
@@ -117,14 +116,6 @@ def test_ablation_grid_structure():
     assert by_name["dq_only"].use_dq and not by_name["dq_only"].use_dv
     assert not by_name["dv_only"].use_dq and by_name["dv_only"].use_dv
     assert by_name["both"].use_dq and by_name["both"].use_dv
-
-
-def test_weight_sweep_grid_values():
-    grid = weight_sweep_grid(AggregationConfig())
-    assert len(grid) == 5
-    for (name, config), w in zip(grid, (0.0, 0.2, 0.4, 0.6, 0.8)):
-        assert config.w_q == config.w_v == w
-        assert name == f"w_{w:g}"
 
 
 def test_run_ablation_collects_rows_and_records_failures():

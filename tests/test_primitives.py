@@ -153,13 +153,6 @@ def test_extract_linguistic_how_many_dogs(lexicon):
     assert Primitive("dog", Modality.LINGUISTIC, PartOfSpeech.NOUN) in prims
 
 
-def test_extract_linguistic_stoplist(lexicon):
-    sample = make_sample("Is the dog black?", [("dog", set())], "no")
-    prims, _ = extract_linguistic(sample.question, lexicon, stoplist=("be",))
-    assert Primitive("be", Modality.LINGUISTIC, PartOfSpeech.VERB) not in prims
-    assert Primitive("dog", Modality.LINGUISTIC, PartOfSpeech.NOUN) in prims
-
-
 def test_linguistic_occurrences_reproduce_lemma(lexicon):
     sample = make_sample("How many white dogs are there?", [("dog", {"white"})], "1")
     _, occs = extract_linguistic(sample.question, lexicon)
