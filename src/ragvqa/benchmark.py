@@ -323,12 +323,19 @@ def write_splits(
 
 
 def read_splits(path: str | Path) -> dict[str, list[str]]:
+    """Read split assignments; a malformed line is a ``BenchmarkError``."""
     splits: dict[str, list[str]] = {label: [] for label in SPLIT_LABELS}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
-            splits[raw["split_label"]].append(raw["sample_id"])
+            try:
+                raw = json.loads(line)
+                splits[raw["split_label"]].append(raw["sample_id"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BenchmarkError(
+                    f"{path}, line {lineno}: expected a sample_id and a split_label "
+                    f"in {list(SPLIT_LABELS)} ({type(exc).__name__}: {exc})"
+                ) from exc
     return splits

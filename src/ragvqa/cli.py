@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, corpus as corpus_mod, evaluation, model, primdb, ragtrain
-from .config import ExperimentConfig, load_experiment_config
+from .config import KEY_TYPES, PRESETS, ExperimentConfig, load_experiment_config
 from .primitives import default_lexicon, load_lexicon
 
 log = logging.getLogger(__name__)
@@ -90,29 +90,28 @@ def cmd_build_benchmark(args) -> int:
 
 
 def _train_once(train_corpus, val_corpus, exp: ExperimentConfig, lexicon, agg_config):
+    seed = exp.training.seed
     vocabs = model.build_vocabularies(train_corpus)
     params = model.init_params(
         len(vocabs.words), len(vocabs.labels), len(vocabs.answers),
-        d=exp.d, d_h=exp.d_h, seed=exp.seed,
+        d=exp.d, d_h=exp.d_h, seed=seed,
     )
     db_q = db_v = None
     if agg_config is not None:
         if agg_config.use_dq:
-            db_q = primdb.build_dq(train_corpus, exp.t_q, exp.seed, lexicon)
+            db_q = primdb.build_dq(train_corpus, exp.t_q, seed, lexicon)
         if agg_config.use_dv:
-            db_v = primdb.build_dv(train_corpus, exp.t_v, exp.seed)
+            db_v = primdb.build_dv(train_corpus, exp.t_v, seed)
     result = ragtrain.train(
         train_corpus, db_q, db_v, params, vocabs, lexicon,
-        exp.training(), agg_config, val_corpus=val_corpus,
+        exp.training, agg_config, val_corpus=val_corpus,
     )
     return result, vocabs
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("w_q", "w_v", "epochs", "lr", "seed")
-    }
+    # every flag whose destination is a config key overrides that key
+    overrides = {key: value for key, value in vars(args).items() if key in KEY_TYPES}
     return load_experiment_config(args.config, preset=args.preset, overrides=overrides)
 
 
@@ -123,14 +122,14 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exp.write_resolved(out / "config.resolved")
-    agg_config = None if args.no_retrieval else exp.aggregation()
+    agg_config = None if args.no_retrieval else exp.aggregation
     result, vocabs = _train_once(train_corpus, val_corpus, exp, lexicon, agg_config)
     with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.metrics:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     model.save_checkpoint(out / "checkpoint.bin", result.params, vocabs)
     final = result.metrics[-1]
-    print(f"trained {exp.epochs} epochs; final mean loss {final['mean_loss']:.4f}, "
+    print(f"trained {exp.training.epochs} epochs; final mean loss {final['mean_loss']:.4f}, "
           f"val accuracy {final['val_accuracy']}")
     return EXIT_OK
 
@@ -153,53 +152,41 @@ def cmd_ablate(args) -> int:
     train_corpus, val_corpus = _load_corpora(Path(args.data))
     splits = benchmark.read_splits(args.splits)
     lexicon = _lexicon(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [exp.training.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     candidate_ids = {sid for ids in splits.values() for sid in ids}
     iid_samples = [s for s in val_corpus.samples if s.question.id not in candidate_ids]
 
-    rows = []
-    grid = evaluation.ablation_grid(exp.aggregation())
-    for seed in seeds:
-        exp_seed = dataclasses.replace(exp, seed=seed)
-
-        def train_fn(variant, _exp=exp_seed):
-            result, vocabs = _train_once(train_corpus, val_corpus, _exp, lexicon, variant)
-            train_fn.vocabs = vocabs  # type: ignore[attr-defined]
-            return result.params, result.metrics
-
-        def eval_fn(params):
-            vocabs = train_fn.vocabs  # type: ignore[attr-defined]
-            report = evaluation.evaluate(
-                params, vocabs, splits, val_corpus,
-                evaluation.config_fingerprint(exp_seed.to_dict()),
-            )
-            iid = model.corpus_accuracy(params, vocabs, iid_samples)
-            return report, iid
-
-        for row in evaluation.run_ablation(grid, train_fn=train_fn, eval_fn=eval_fn):
-            rows.append((seed, row))
-
+    grid = evaluation.ablation_grid(exp.aggregation)
+    failures = 0
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["variant", "seed", *benchmark.SPLIT_LABELS, "level_1", "level_2", "level_3",
              "overall", "iid_accuracy", "error"]
         )
-        for seed, row in rows:
-            if row.report is None:
-                writer.writerow([row.name, seed] + [""] * 11 + [row.error])
-                continue
-            writer.writerow(
-                [row.name, seed]
-                + [row.report.per_split_accuracy[l] for l in benchmark.SPLIT_LABELS]
-                + [row.report.per_level_accuracy[f"level_{i}"] for i in (1, 2, 3)]
-                + [row.report.overall, row.iid_accuracy, ""]
-            )
-    failures = [row.name for _seed, row in rows if row.error]
-    print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows, {len(failures)} failures)")
+        for seed in seeds:
+            run = dataclasses.replace(exp, training=dataclasses.replace(exp.training, seed=seed))
+            for name, variant in grid:
+                # a failing variant gets an error row; the rest of the grid still runs
+                try:
+                    result, vocabs = _train_once(train_corpus, val_corpus, run, lexicon, variant)
+                    report = evaluation.evaluate(result.params, vocabs, splits, val_corpus)
+                    iid = model.corpus_accuracy(result.params, vocabs, iid_samples)
+                except Exception as exc:  # noqa: BLE001 - recorded in the table
+                    log.exception("ablation variant %s, seed %d failed", name, seed)
+                    writer.writerow([name, seed] + [""] * 11 + [str(exc)])
+                    failures += 1
+                    continue
+                writer.writerow(
+                    [name, seed]
+                    + [report.per_split_accuracy[l] for l in benchmark.SPLIT_LABELS]
+                    + [report.per_level_accuracy[f"level_{i}"] for i in (1, 2, 3)]
+                    + [report.overall, iid, ""]
+                )
+    print(f"wrote {out / 'ablation.csv'} ({len(seeds) * len(grid)} rows, {failures} failures)")
     return EXIT_FAILURE if failures else EXIT_OK
 
 
@@ -242,6 +229,20 @@ def cmd_verify_splits(args) -> int:
     return EXIT_VERIFICATION
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``train`` and ``ablate`` share. A flag whose destination is
+    a config key overrides that key of the resolved config."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--config")
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--w-q", type=float)
+    p.add_argument("--w-v", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--lexicon")
+    p.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ragvqa",
@@ -265,17 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_benchmark)
 
     p = sub.add_parser("train", help="train a model, with or without retrieval")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=["gqa", "vqa2"])
+    _add_run_flags(p)
     p.add_argument("--no-retrieval", action="store_true")
-    p.add_argument("--w-q", dest="w_q", type=float)
-    p.add_argument("--w-v", dest="w_v", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--lexicon")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on built splits")
@@ -286,18 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the database ablation grid")
-    p.add_argument("--data", required=True)
+    _add_run_flags(p)
     p.add_argument("--splits", required=True)
-    p.add_argument("--config")
-    p.add_argument("--preset", choices=["gqa", "vqa2"])
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--w-q", dest="w_q", type=float)
-    p.add_argument("--w-v", dest="w_v", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lexicon")
-    p.add_argument("--out", required=True)
+    p.add_argument("--seeds", help="comma-separated seeds (default: the config's seed)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 __all__ = [
     "CorpusError",
@@ -46,7 +46,7 @@ class IngestionError(CorpusError):
     pass
 
 
-class ConfigurationError(CorpusError):
+class ConfigurationError(CorpusError, ValueError):
     pass
 
 
@@ -300,14 +300,14 @@ class SynthConfig:
         return tuple(a for a in self.attributes if a in _KNOWN_COLORS)
 
 
-def parse_kv_file(path: str | Path, keys: Iterable[str]) -> dict[str, str]:
-    """Read a "key = value" file into raw strings.
+def parse_kv_file(path: str | Path, converters: Mapping[str, Callable[[str], Any]]) -> dict:
+    """Read a "key = value" file, converting each value by its key's converter.
 
-    Blank lines and ``#`` comments are skipped. A line without ``=`` or a key
-    outside ``keys`` is a configuration error naming its line.
+    Blank lines and ``#`` comments are skipped. A line without ``=``, a key
+    outside ``converters`` or a value its converter rejects is a
+    configuration error naming the file, the line and the key.
     """
-    known = set(keys)
-    values: dict[str, str] = {}
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -317,12 +317,19 @@ def parse_kv_file(path: str | Path, keys: Iterable[str]) -> dict[str, str]:
                 raise ConfigurationError(f"{path}, line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in converters:
                 raise ConfigurationError(
-                    f"{path}, line {lineno}: unknown key {key!r} (known: {sorted(known)})"
+                    f"{path}, line {lineno}: unknown key {key!r} (known: {sorted(converters)})"
                 )
-            values[key] = value.strip()
+            try:
+                values[key] = converters[key](value.strip())
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}, line {lineno}: key {key!r}: {exc}") from exc
     return values
+
+
+def _str_list(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
 def parse_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
@@ -331,16 +338,13 @@ def parse_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
     Inventory keys take comma-separated lists; the key types are the
     ``SynthConfig`` field types.
     """
-    kinds = get_type_hints(SynthConfig)
-    values = parse_kv_file(path, [*kinds, "seed"])
-    seed = int(values.pop("seed")) if "seed" in values else None
-    kwargs: dict = {}
-    for key, value in values.items():
-        if kinds[key] in (int, float):
-            kwargs[key] = kinds[key](value)
-        else:  # tuple[str, ...]
-            kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-    return SynthConfig(**kwargs), seed
+    converters = {
+        key: kind if kind in (int, float) else _str_list
+        for key, kind in get_type_hints(SynthConfig).items()
+    }
+    values = parse_kv_file(path, {**converters, "seed": int})
+    seed = values.pop("seed", None)
+    return SynthConfig(**values), seed
 
 
 def _pluralize(noun: str) -> str:

@@ -1,4 +1,4 @@
-"""Evaluation per split/level and the ablation harness.
+"""Evaluation per split/level and the database ablation grid.
 
 Evaluation runs on the plain encoders: retrieval is a training-time
 mechanism.
@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from .benchmark import LEVELS, SPLIT_LABELS
 from .corpus import Corpus
@@ -23,11 +21,7 @@ __all__ = [
     "config_fingerprint",
     "evaluate",
     "ablation_grid",
-    "run_ablation",
-    "AblationRow",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class EvalError(Exception):
@@ -121,36 +115,3 @@ def ablation_grid(base: AggregationConfig) -> list[tuple[str, AggregationConfig 
         ("dv_only", replace(base, use_dq=False, use_dv=True)),
         ("both", base),
     ]
-
-
-@dataclass
-class AblationRow:
-    name: str
-    report: EvalReport | None
-    iid_accuracy: float | None
-    error: str | None = None
-    metrics: list[dict] = field(default_factory=list)
-
-
-def run_ablation(
-    grid: Sequence[tuple[str, AggregationConfig | None]],
-    *,
-    train_fn,
-    eval_fn,
-) -> list[AblationRow]:
-    """Run one train+eval cycle per variant.
-
-    ``train_fn(variant_config)`` returns trained params; ``eval_fn(params)``
-    returns (EvalReport, iid accuracy). A failing variant produces a partial
-    table with a failure record instead of aborting the grid.
-    """
-    rows: list[AblationRow] = []
-    for name, variant in grid:
-        try:
-            params, metrics = train_fn(variant)
-            report, iid = eval_fn(params)
-            rows.append(AblationRow(name, report, iid, metrics=metrics))
-        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed silently
-            log.error("ablation variant %s failed: %s", name, exc)
-            rows.append(AblationRow(name, None, None, error=str(exc)))
-    return rows

@@ -34,6 +34,7 @@ from .model import (
 from .primdb import (
     FeatureIndex,
     LinguisticDB,
+    RetrievalError,
     RetrievalResult,
     VisualDB,
     cosine,
@@ -105,8 +106,11 @@ def aggregate(
     """Aggregate retrieved neighbor features into one primitive feature.
 
     An empty or disabled retrieval result contributes exactly zero; with both
-    weights zero the input is returned unchanged (as a copy).
+    weights zero the input is returned unchanged (as a copy). A non-finite
+    feature is rejected, as ``retrieve`` rejects a non-finite query.
     """
+    if not np.all(np.isfinite(p)):
+        raise RetrievalError("non-finite primitive feature")
     out = p.copy()
     scalar_term = 0.0
     for result, weight, depth, enabled in (
@@ -250,9 +254,12 @@ def train(
             objects = scene_object_ids(vocabs, sample.scene_graph)
             q_delta = v_delta = None
             if retrieval_on:
-                augmented = augment_sample(
-                    sample, params, vocabs, lexicon, index_q, index_v, agg_config
-                )
+                try:
+                    augmented = augment_sample(
+                        sample, params, vocabs, lexicon, index_q, index_v, agg_config
+                    )
+                except RetrievalError as exc:
+                    raise TrainingDiverged(f"retrieval failed at step {step}: {exc}") from exc
                 q_delta, v_delta = augmented.q_delta, augmented.v_delta
             try:
                 loss, _probs, grads = loss_and_grads(

@@ -325,3 +325,20 @@ def test_splits_file_round_trip(tmp_path, lexicon, small_pair):
     path = tmp_path / "splits.jsonl"
     write_splits(splits, candidates, path)
     assert read_splits(path) == splits
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"sample_id": "q2", "split_label": "XX"}',
+        '{"sample_id": "q2"}',
+        '{"split_label": "LL"}',
+        '["q2", "LL"]',
+        "not json",
+    ],
+)
+def test_read_splits_rejects_malformed_line(tmp_path, bad_line):
+    path = tmp_path / "splits.jsonl"
+    path.write_text('{"sample_id": "q1", "split_label": "LL"}\n' + bad_line + "\n", "utf-8")
+    with pytest.raises(BenchmarkError, match="line 2"):
+        read_splits(path)

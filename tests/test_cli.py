@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -70,6 +71,20 @@ def test_verify_splits_flags_tampering(workspace, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("record", [{"split_label": "XX"}, {}])
+def test_verify_splits_malformed_line_is_runtime_error(workspace, tmp_path, capsys, record):
+    lines = (workspace / "bench" / "splits.jsonl").read_text("utf-8").splitlines()
+    first = json.loads(lines[0])
+    first.pop("split_label")
+    first.update(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[1], json.dumps(first)]) + "\n", "utf-8")
+    code = main(["verify-splits", "--data", str(workspace / "data"), "--splits", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err
+
+
 def test_train_and_eval_round_trip(workspace, tmp_path, capsys):
     run = tmp_path / "run"
     code = main([
@@ -124,6 +139,36 @@ def test_ablate_writes_csv(workspace, tmp_path):
     header = rows[0].split(",")
     assert header[0] == "variant" and "overall" in header
     assert [r.split(",")[0] for r in rows[1:]] == ["baseline", "dq_only", "dv_only", "both"]
+
+
+def _ablate(workspace, out, *flags):
+    return main([
+        "ablate", "--data", str(workspace / "data"),
+        "--splits", str(workspace / "bench" / "splits.jsonl"), "--out", str(out), *flags,
+    ])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging lr overflows
+def test_ablate_records_failed_variants_and_runs_the_rest(workspace, tmp_path):
+    run = tmp_path / "ablate"
+    assert _ablate(workspace, run, "--epochs", "1", "--lr", "1e305") == 1
+    rows = list(csv.reader((run / "ablation.csv").open(encoding="utf-8")))
+    assert rows[0][0] == "variant" and rows[0][-1] == "error"
+    assert [r[0] for r in rows[1:]] == ["baseline", "dq_only", "dv_only", "both"]
+    for row in rows[1:]:
+        assert row[1] == "0"
+        assert all(cell == "" for cell in row[2:-1])
+        assert "step" in row[-1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging lr overflows
+def test_ablate_without_seeds_uses_the_config_seed(workspace, tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("seed = 3\nlr = 1e305\n", "utf-8")
+    run = tmp_path / "ablate"
+    _ablate(workspace, run, "--config", str(config), "--epochs", "1")
+    rows = list(csv.reader((run / "ablation.csv").open(encoding="utf-8")))
+    assert [r[1] for r in rows[1:]] == ["3"] * 4
 
 
 def test_grad_check_passes(capsys):

@@ -278,3 +278,9 @@ def test_parse_synth_config_rejects_garbage(tmp_path):
     path = _write(tmp_path / "synth.cfg", ["categories dog cat"])
     with pytest.raises(ConfigurationError, match="line 1"):
         parse_synth_config(path)
+
+
+def test_parse_synth_config_unparsable_value_names_file_line_and_key(tmp_path):
+    path = _write(tmp_path / "synth.cfg", ["n_val = 100", "n_train = abc"])
+    with pytest.raises(ConfigurationError, match=r"synth\.cfg, line 2: key 'n_train'"):
+        parse_synth_config(path)

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from ragvqa.benchmark import SPLIT_LABELS
-from ragvqa.evaluation import (
-    AblationRow,
-    EvalError,
-    EvalReport,
-    ablation_grid,
-    config_fingerprint,
-    evaluate,
-    run_ablation,
-)
+from ragvqa.evaluation import EvalError, ablation_grid, config_fingerprint, evaluate
 from ragvqa.model import build_vocabularies, init_params, predict_answer
 from ragvqa.ragtrain import AggregationConfig
 
@@ -116,36 +108,3 @@ def test_ablation_grid_structure():
     assert by_name["dq_only"].use_dq and not by_name["dq_only"].use_dv
     assert not by_name["dv_only"].use_dq and by_name["dv_only"].use_dv
     assert by_name["both"].use_dq and by_name["both"].use_dv
-
-
-def test_run_ablation_collects_rows_and_records_failures():
-    report = EvalReport(
-        per_split_accuracy={},
-        per_split_counts={},
-        per_level_accuracy={},
-        overall=0.5,
-        n_evaluated=2,
-        config_fingerprint="",
-    )
-
-    def train_fn(variant):
-        if variant is not None and variant.use_dv and not variant.use_dq:
-            raise RuntimeError("boom")
-        return "params", [{"epoch": 1}]
-
-    def eval_fn(params):
-        assert params == "params"
-        return report, 0.75
-
-    rows = run_ablation(ablation_grid(AggregationConfig()), train_fn=train_fn, eval_fn=eval_fn)
-    assert [r.name for r in rows] == ["baseline", "dq_only", "dv_only", "both"]
-    assert rows[0].report is report and rows[0].iid_accuracy == 0.75
-    assert rows[0].metrics == [{"epoch": 1}]
-    assert rows[2].report is None and rows[2].error == "boom"
-    assert rows[3].error is None
-
-
-def test_ablation_row_defaults():
-    row = AblationRow("x", None, None)
-    assert row.error is None
-    assert row.metrics == []

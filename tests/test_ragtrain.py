@@ -13,6 +13,7 @@ from ragvqa.model import (
 from ragvqa.primdb import (
     FeatureIndex,
     IndexRecord,
+    RetrievalError,
     RetrievalResult,
     RetrievedItem,
     build_dq,
@@ -96,6 +97,13 @@ def test_aggregate_dimension_mismatch():
     config = AggregationConfig(k_q=1, k_v=1)
     with pytest.raises(ValueError):
         aggregate(np.ones(3), _result((1.0, 0.0)), None, config)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_aggregate_rejects_non_finite_feature(bad):
+    config = AggregationConfig(k_q=1, k_v=1)
+    with pytest.raises(RetrievalError, match="non-finite"):
+        aggregate(np.array([bad, 1.0, 1.0]), _result((1.0, 0.0, 0.0)), None, config)
 
 
 def test_aggregation_config_validation():
@@ -264,6 +272,15 @@ def test_train_divergence_aborts_with_step(lexicon):
         train(
             corpus, None, None, params, vocabs, lexicon,
             TrainConfig(epochs=1, learning_rate=1e305), None,
+        )
+
+
+def test_train_with_retrieval_divergence_aborts_with_step(lexicon):
+    corpus, vocabs, params, db_q, db_v, _, _ = _training_setup(lexicon)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="step"):
+        train(
+            corpus, db_q, db_v, params, vocabs, lexicon,
+            TrainConfig(epochs=1, learning_rate=1e305), AggregationConfig(k_q=2, k_v=2),
         )
 
 
