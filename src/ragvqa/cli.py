@@ -152,7 +152,7 @@ def cmd_ablate(args) -> int:
     train_corpus, val_corpus = _load_corpora(Path(args.data))
     splits = benchmark.read_splits(args.splits)
     lexicon = _lexicon(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [exp.training.seed]
+    seeds = args.seeds or [exp.training.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -229,6 +229,13 @@ def cmd_verify_splits(args) -> int:
     return EXIT_VERIFICATION
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(seed) for seed in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     """The flags ``train`` and ``ablate`` share. A flag whose destination is
     a config key overrides that key of the resolved config."""
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run the database ablation grid")
     _add_run_flags(p)
     p.add_argument("--splits", required=True)
-    p.add_argument("--seeds", help="comma-separated seeds (default: the config's seed)")
+    p.add_argument("--seeds", type=_seed_list, help="comma-separated seeds (default: the config's seed)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")

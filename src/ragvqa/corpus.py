@@ -108,12 +108,21 @@ class IngestReport:
 
 
 _REQUIRED_FIELDS = ("id", "image_id", "question", "answer")
+_JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _require(value, kind: type, what: str):
+    """``value``, if it has the JSON type ``kind``; else an error naming ``what``."""
+    if not isinstance(value, kind):
+        raise IngestionError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def load_questions(path: str | Path) -> list[QuestionRecord]:
     """Read question+answer records from a JSON-lines file, in file order.
 
-    Malformed records are reported with their line number; a missing field
+    Malformed records are reported with their line number; a non-object
+    line, a missing field, a non-string ``id``, ``image_id`` or ``question``,
     or a duplicate id is an ingestion error.
     """
     records: list[QuestionRecord] = []
@@ -127,12 +136,15 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestionError(f"line {lineno}: malformed JSON record: {exc}") from exc
+            _require(raw, dict, f"line {lineno}: record")
             record_id = raw.get("id", f"<line {lineno}>")
             for name in _REQUIRED_FIELDS:
                 if name not in raw:
                     raise IngestionError(
                         f"line {lineno}: record {record_id!r} missing field {name!r}"
                     )
+            for name in ("id", "image_id", "question"):
+                _require(raw[name], str, f"line {lineno}: field {name!r}")
             if raw["id"] in seen_ids:
                 raise IngestionError(f"line {lineno}: duplicate question id {raw['id']!r}")
             seen_ids.add(raw["id"])
@@ -155,21 +167,27 @@ def load_scene_graphs(path: str | Path) -> tuple[list[SceneGraph], list[str]]:
 
     Attribute strings are lowercased and deduplicated; objects are ordered
     by object_id. An image with zero objects is kept but produces a warning.
+    The file, each image entry, its ``objects`` and each object must be JSON
+    objects, and the name and each attribute strings.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     graphs: list[SceneGraph] = []
     warnings: list[str] = []
-    for image_id, entry in raw.items():
+    for image_id, entry in _require(raw, dict, "scene-graph file").items():
+        entry = _require(entry, dict, f"image {image_id!r}")
+        specs = _require(entry.get("objects", {}), dict, f"image {image_id!r}: objects")
         objects = []
-        for object_id in sorted(entry.get("objects", {})):
-            spec = entry["objects"][object_id]
-            name = spec.get("name", "")
+        for object_id in sorted(specs):
+            where = f"image {image_id!r}: object {object_id!r}"
+            spec = _require(specs[object_id], dict, where)
+            name = _require(spec.get("name", ""), str, f"{where}: name")
             if not name:
-                raise IngestionError(
-                    f"image {image_id!r}: object {object_id!r} has no category name"
-                )
-            attributes = frozenset(a.lower() for a in spec.get("attributes", []))
+                raise IngestionError(f"{where} has no category name")
+            attributes = frozenset(
+                _require(a, str, f"{where}: attribute").lower()
+                for a in _require(spec.get("attributes", []), list, f"{where}: attributes")
+            )
             objects.append(ObjectInstance(object_id, name.lower(), attributes))
         if not objects:
             warnings.append(f"image {image_id!r} has no objects")

@@ -438,6 +438,7 @@ def corpus_accuracy(params: ParamSet, vocabs: Vocabularies, samples: Sequence[Sa
 
 CHECKPOINT_MAGIC = b"MSCGCKPT"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = struct.Struct("<6I")  # version, d, d_h, n_words, n_labels, n_answers
 
 
 def save_checkpoint(path: str | Path, params: ParamSet, vocabs: Vocabularies) -> None:
@@ -447,9 +448,8 @@ def save_checkpoint(path: str | Path, params: ParamSet, vocabs: Vocabularies) ->
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(
-            struct.pack(
-                "<6I", CHECKPOINT_VERSION, params.d, params.d_h,
-                n_words, n_labels, params.n_answers,
+            CHECKPOINT_HEADER.pack(
+                CHECKPOINT_VERSION, params.d, params.d_h, n_words, n_labels, params.n_answers,
             )
         )
         for arr in params.arrays():
@@ -470,7 +470,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, Vocabularies]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ModelError(f"not a checkpoint file: bad magic {magic!r}")
-        version, d, d_h, n_words, n_labels, n_answers = struct.unpack("<6I", fh.read(24))
+        header = fh.read(CHECKPOINT_HEADER.size)
+        if len(header) != CHECKPOINT_HEADER.size:
+            raise ModelError("truncated checkpoint while reading the header")
+        version, d, d_h, n_words, n_labels, n_answers = CHECKPOINT_HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise ModelError(f"unsupported checkpoint version {version}")
         shapes = {
@@ -495,12 +498,16 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, Vocabularies]:
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ModelError("trailing bytes after the last parameter group")
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text("utf-8"))
-    vocabs = Vocabularies(
-        words={k: int(v) for k, v in sidecar["words"].items()},
-        labels={k: int(v) for k, v in sidecar["labels"].items()},
-        answers=tuple(sidecar["answers"]),
-    )
+    sidecar_text = path.with_suffix(path.suffix + ".json").read_text("utf-8")
+    try:
+        sidecar = json.loads(sidecar_text)
+        vocabs = Vocabularies(
+            words={k: int(v) for k, v in sidecar["words"].items()},
+            labels={k: int(v) for k, v in sidecar["labels"].items()},
+            answers=tuple(sidecar["answers"]),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ModelError(f"malformed checkpoint sidecar: {type(exc).__name__}: {exc}") from exc
     for field_name, size, rows in (
         ("words", len(vocabs.words), n_words),
         ("labels", len(vocabs.labels), n_labels),

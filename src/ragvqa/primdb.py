@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import logging
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
 from .model import ParamSet, Vocabularies, encode_image, encode_question, question_token_ids, scene_object_ids
-from .primitives import Lexicon, Primitive, extract_linguistic, extract_visual, primitive_key
+from .primitives import (
+    Lexicon, Modality, Primitive, PrimitiveOccurrence, extract_linguistic, extract_visual,
+    primitive_key,
+)
 
 __all__ = [
     "RetrievalError",
-    "LinguisticDB",
-    "VisualDB",
+    "PrimitiveDB",
     "IndexRecord",
     "FeatureIndex",
     "RetrievedItem",
@@ -30,6 +33,7 @@ __all__ = [
     "build_dq",
     "build_dv",
     "encode_index",
+    "cosines",
     "cosine",
     "retrieve",
 ]
@@ -39,22 +43,16 @@ log = logging.getLogger(__name__)
 NORM_FLOOR = 1e-12
 
 
-class RetrievalError(Exception):
-    pass
+class RetrievalError(ValueError):
+    """A non-finite or mis-shaped vector, or a database the corpus cannot back."""
 
 
 @dataclass(frozen=True)
-class LinguisticDB:
-    """primitive -> up to ``cap`` (question id, token position) contexts."""
+class PrimitiveDB:
+    """primitive -> up to ``cap`` (source id, position) contexts: (question id,
+    token position) in the linguistic D_q, (image id, object ordinal) in D_v."""
 
-    entries: dict[Primitive, tuple[tuple[str, int], ...]]
-    cap: int
-
-
-@dataclass(frozen=True)
-class VisualDB:
-    """label primitive -> up to ``cap`` (image id, object ordinal) contexts."""
-
+    modality: Modality
     entries: dict[Primitive, tuple[tuple[str, int], ...]]
     cap: int
 
@@ -85,10 +83,6 @@ class FeatureIndex:
     def size(self) -> int:
         return len(self.records)
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1] if self.vectors.ndim == 2 else 0
-
 
 @dataclass(frozen=True)
 class RetrievedItem:
@@ -105,56 +99,48 @@ class RetrievalResult:
         return len(self.items)
 
 
-def build_dq(corpus: Corpus, t_q: int, seed: int, lexicon: Lexicon) -> LinguisticDB:
-    """Sample up to ``t_q`` distinct questions per linguistic primitive.
+def build_dq(corpus: Corpus, t_q: int, seed: int, lexicon: Lexicon) -> PrimitiveDB:
+    """Sample up to ``t_q`` distinct questions per linguistic primitive, each
+    at the primitive's first position in that question."""
+    occurrences = (
+        occ for sample in corpus.samples
+        for occ in extract_linguistic(sample.question, lexicon)[1]
+    )
+    return _sampled_db(Modality.LINGUISTIC, occurrences, t_q, seed)
 
-    One entry per sampled question, at the primitive's first occurrence;
-    uniform without replacement, deterministic for a fixed seed.
-    """
-    if t_q < 1:
-        raise ValueError("t_q must be >= 1")
+
+def build_dv(corpus: Corpus, t_v: int, seed: int) -> PrimitiveDB:
+    """Sample up to ``t_v`` distinct images per visual label, each at the
+    lowest ordinal of a matching object in that image."""
+    occurrences = (
+        occ for graph in corpus.scene_graphs().values() for occ in extract_visual(graph)[1]
+    )
+    return _sampled_db(Modality.VISUAL, occurrences, t_v, seed)
+
+
+def _sampled_db(
+    modality: Modality, occurrences: Iterable[PrimitiveOccurrence], cap: int, seed: int
+) -> PrimitiveDB:
+    """Keep each primitive's lowest position per source, then draw up to
+    ``cap`` sources per primitive: uniform without replacement,
+    deterministic for a fixed seed."""
+    if cap < 1:
+        raise ValueError(f"database cap must be >= 1, got {cap}")
     contexts: dict[Primitive, dict[str, int]] = {}
-    for sample in corpus.samples:
-        _prims, occurrences = extract_linguistic(sample.question, lexicon)
-        for occ in occurrences:
-            positions = contexts.setdefault(occ.primitive, {})
-            positions.setdefault(occ.sample_id, occ.position)
+    for occ in occurrences:
+        positions = contexts.setdefault(occ.primitive, {})
+        positions[occ.sample_id] = min(occ.position, positions.get(occ.sample_id, occ.position))
     rng = random.Random(seed)
     entries: dict[Primitive, tuple[tuple[str, int], ...]] = {}
     for primitive in sorted(contexts, key=primitive_key):
         available = sorted(contexts[primitive].items())
-        chosen = available if len(available) <= t_q else rng.sample(available, t_q)
+        chosen = available if len(available) <= cap else rng.sample(available, cap)
         entries[primitive] = tuple(chosen)
-    return LinguisticDB(entries=entries, cap=t_q)
-
-
-def build_dv(corpus: Corpus, t_v: int, seed: int) -> VisualDB:
-    """Sample up to ``t_v`` distinct images per visual label.
-
-    The stored position is the lowest ordinal of a matching object in the
-    sampled image.
-    """
-    if t_v < 1:
-        raise ValueError("t_v must be >= 1")
-    contexts: dict[Primitive, dict[str, int]] = {}
-    for graph in corpus.scene_graphs().values():
-        _prims, occurrences = extract_visual(graph)
-        for occ in occurrences:
-            positions = contexts.setdefault(occ.primitive, {})
-            prev = positions.get(occ.sample_id)
-            if prev is None or occ.position < prev:
-                positions[occ.sample_id] = occ.position
-    rng = random.Random(seed)
-    entries: dict[Primitive, tuple[tuple[str, int], ...]] = {}
-    for primitive in sorted(contexts, key=primitive_key):
-        available = sorted(contexts[primitive].items())
-        chosen = available if len(available) <= t_v else rng.sample(available, t_v)
-        entries[primitive] = tuple(chosen)
-    return VisualDB(entries=entries, cap=t_v)
+    return PrimitiveDB(modality=modality, entries=entries, cap=cap)
 
 
 def encode_index(
-    db: LinguisticDB | VisualDB,
+    db: PrimitiveDB,
     params: ParamSet,
     vocabs: Vocabularies,
     corpus: Corpus,
@@ -165,30 +151,29 @@ def encode_index(
     Record order equals database iteration order; provenance is unchanged
     across re-encodings, only the vectors move.
     """
-    linguistic = isinstance(db, LinguisticDB)
+    linguistic = db.modality is Modality.LINGUISTIC
     if linguistic:
-        questions = {s.question.id: s.question for s in corpus.samples}
+        sources = {s.question.id: s.question for s in corpus.samples}
     else:
-        graphs = corpus.scene_graphs()
+        sources = corpus.scene_graphs()
 
     vectors: list[np.ndarray] = []
     records: list[IndexRecord] = []
     feature_cache: dict[str, np.ndarray] = {}
     ordinal = 0
-    for primitive, sources in db.entries.items():
-        for source_id, position in sources:
+    for primitive, contexts in db.entries.items():
+        for source_id, position in contexts:
             feats = feature_cache.get(source_id)
             if feats is None:
+                source = sources.get(source_id)
+                if source is None:
+                    raise RetrievalError(
+                        f"dangling source id {source_id!r} in the {db.modality.value} database"
+                    )
                 if linguistic:
-                    question = questions.get(source_id)
-                    if question is None:
-                        raise RetrievalError(f"dangling question id {source_id!r} in database")
-                    feats = encode_question(params, question_token_ids(vocabs, question.text))
+                    feats = encode_question(params, question_token_ids(vocabs, source.text))
                 else:
-                    graph = graphs.get(source_id)
-                    if graph is None:
-                        raise RetrievalError(f"dangling image id {source_id!r} in database")
-                    feats = encode_image(params, scene_object_ids(vocabs, graph))
+                    feats = encode_image(params, scene_object_ids(vocabs, source))
                 feature_cache[source_id] = feats
             if position >= feats.shape[0]:
                 raise RetrievalError(
@@ -201,17 +186,27 @@ def encode_index(
     return FeatureIndex(matrix, tuple(records), snapshot_version)
 
 
+def cosines(query: np.ndarray, rows: np.ndarray, row_norms: np.ndarray | None = None) -> np.ndarray:
+    """Cosine similarity of ``query`` against each row, clipped to [-1, 1].
+
+    A similarity is zero where the query's or the row's norm is below
+    NORM_FLOOR. ``row_norms`` are the rows' norms, when the caller has them.
+    """
+    if rows.shape[1:] != query.shape:
+        raise RetrievalError(f"dimension mismatch: {query.shape} vs rows of {rows.shape[1:]}")
+    if row_norms is None:
+        row_norms = np.linalg.norm(rows, axis=1)
+    q_norm = np.linalg.norm(query)
+    if q_norm < NORM_FLOOR:
+        return np.zeros(rows.shape[0])
+    valid = row_norms >= NORM_FLOOR
+    sims = np.where(valid, (rows @ query) / np.where(valid, row_norms * q_norm, 1.0), 0.0)
+    return np.clip(sims, -1.0, 1.0)
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; zero when either norm is below 1e-12."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise RetrievalError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    """Cosine similarity of one pair: ``cosines`` of ``a`` against ``b``."""
+    return float(cosines(np.asarray(a, dtype=float), np.asarray(b, dtype=float)[np.newaxis])[0])
 
 
 def retrieve(
@@ -231,8 +226,6 @@ def retrieve(
     if index.size == 0:
         log.warning("retrieval against an empty index")
         return RetrievalResult(items=())
-    if query.shape != (index.dim,):
-        raise RetrievalError(f"query dimension {query.shape} != index dimension ({index.dim},)")
     if not np.all(np.isfinite(query)):
         raise RetrievalError("non-finite query vector")
 
@@ -240,19 +233,8 @@ def retrieve(
         candidate = np.arange(index.size)
     else:
         candidate = np.flatnonzero(index.source_ids != exclude_source)
-        if candidate.size == 0:
-            return RetrievalResult(items=())
 
-    q_norm = np.linalg.norm(query)
-    sims = index.vectors[candidate] @ query
-    norms = index.norms[candidate]
-    if q_norm < NORM_FLOOR:
-        sims = np.zeros_like(sims)
-    else:
-        valid = norms >= NORM_FLOOR
-        sims = np.where(valid, sims / np.where(valid, norms * q_norm, 1.0), 0.0)
-    sims = np.clip(sims, -1.0, 1.0)
-
+    sims = cosines(query, index.vectors[candidate], index.norms[candidate])
     order = np.lexsort((index.ordinals[candidate], -sims))[:k]
     items = tuple(
         RetrievedItem(

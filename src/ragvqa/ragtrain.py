@@ -33,15 +33,14 @@ from .model import (
 )
 from .primdb import (
     FeatureIndex,
-    LinguisticDB,
+    PrimitiveDB,
     RetrievalError,
     RetrievalResult,
-    VisualDB,
-    cosine,
+    cosines,
     encode_index,
     retrieve,
 )
-from .primitives import OPEN_CLASS, Lexicon, pos_tag, tokenize
+from .primitives import Lexicon, extract_linguistic
 
 __all__ = [
     "AggregationConfig",
@@ -105,41 +104,29 @@ def aggregate(
 ) -> np.ndarray:
     """Aggregate retrieved neighbor features into one primitive feature.
 
-    An empty or disabled retrieval result contributes exactly zero; with both
-    weights zero the input is returned unchanged (as a copy). A non-finite
-    feature is rejected, as ``retrieve`` rejects a non-finite query.
+    Every result passed in is added; an empty result or ``None`` contributes
+    exactly zero, and with both weights zero the input is returned unchanged
+    (as a copy). A non-finite feature is rejected, as ``retrieve`` rejects a
+    non-finite query.
     """
     if not np.all(np.isfinite(p)):
         raise RetrievalError("non-finite primitive feature")
     out = p.copy()
-    scalar_term = 0.0
-    for result, weight, depth, enabled in (
-        (retrieved_q, config.w_q, config.k_q, config.use_dq),
-        (retrieved_v, config.w_v, config.k_v, config.use_dv),
+    for result, weight, depth in (
+        (retrieved_q, config.w_q, config.k_q),
+        (retrieved_v, config.w_v, config.k_v),
     ):
-        if not enabled or result is None or weight == 0.0 or len(result) == 0:
+        if not result or weight == 0.0:
             continue
-        items = result.items[: depth]
-        if config.mode == "weighted_feature":
-            acc = np.zeros_like(p)
-            for item in items:
-                if item.vector.shape != p.shape:
-                    raise ValueError("retrieved vector dimension mismatch")
-                acc += cosine(p, item.vector) * item.vector
-            out += (weight / depth) * acc
-        else:
-            scalar_term += (weight / depth) * sum(
-                cosine(p, item.vector) for item in items
-            )
-    if scalar_term != 0.0:
-        out += scalar_term
+        vectors = np.array([item.vector for item in result.items[:depth]])
+        sims = cosines(p, vectors)
+        weighted = sims @ vectors if config.mode == "weighted_feature" else sims.sum()
+        out += (weight / depth) * weighted
     return out
 
 
 @dataclass
 class AugmentedSample:
-    q_features: np.ndarray
-    v_features: np.ndarray
     q_delta: np.ndarray | None  # None when the aggregation added nothing
     v_delta: np.ndarray | None
     retrieval_rounds: int = 0
@@ -156,48 +143,35 @@ def augment_sample(
 ) -> AugmentedSample:
     """Retrieve-and-aggregate every primitive feature of one sample.
 
-    Word positions whose POS tag is not an open class pass through
-    unchanged; every object feature is augmented. Records sourced from this
-    sample are excluded from retrieval.
+    The word positions ``extract_linguistic`` reports and every object
+    feature are augmented; other word positions pass through unchanged.
+    Every index passed in is searched, and records sourced from this sample
+    are excluded.
     """
-    token_ids = question_token_ids(vocabs, sample.question.text)
-    objects = scene_object_ids(vocabs, sample.scene_graph)
-    h_q = encode_question(params, token_ids)
-    h_v = encode_image(params, objects)
+    h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
+    h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
+    _prims, occurrences = extract_linguistic(sample.question, lexicon)
 
-    tokens = tokenize(sample.question.text)
-    tags = pos_tag(tokens, lexicon)
-    rounds = 0
-
-    def _retrieved(p: np.ndarray, exclude_q: str, exclude_v: str):
-        nonlocal rounds
+    def _delta(p: np.ndarray) -> np.ndarray:
         r_q = r_v = None
-        if config.use_dq and index_q is not None:
-            r_q = retrieve(p, index_q, config.k_q, exclude_source=exclude_q)
-            rounds += 1
-        if config.use_dv and index_v is not None:
-            r_v = retrieve(p, index_v, config.k_v, exclude_source=exclude_v)
-            rounds += 1
-        return r_q, r_v
+        if index_q is not None:
+            r_q = retrieve(p, index_q, config.k_q, exclude_source=sample.question.id)
+        if index_v is not None:
+            r_v = retrieve(p, index_v, config.k_v, exclude_source=sample.scene_graph.image_id)
+        return aggregate(p, r_q, r_v, config) - p
 
     q_delta = np.zeros_like(h_q)
-    for i, tag in enumerate(tags):
-        if tag not in OPEN_CLASS:
-            continue
-        r_q, r_v = _retrieved(h_q[i], sample.question.id, sample.scene_graph.image_id)
-        q_delta[i] = aggregate(h_q[i], r_q, r_v, config) - h_q[i]
-
+    for occ in occurrences:
+        q_delta[occ.position] = _delta(h_q[occ.position])
     v_delta = np.zeros_like(h_v)
     for j in range(h_v.shape[0]):
-        r_q, r_v = _retrieved(h_v[j], sample.question.id, sample.scene_graph.image_id)
-        v_delta[j] = aggregate(h_v[j], r_q, r_v, config) - h_v[j]
+        v_delta[j] = _delta(h_v[j])
 
+    n_indices = (index_q is not None) + (index_v is not None)
     return AugmentedSample(
-        q_features=h_q,
-        v_features=h_v,
         q_delta=q_delta if q_delta.any() else None,
         v_delta=v_delta if v_delta.any() else None,
-        retrieval_rounds=rounds,
+        retrieval_rounds=(len(occurrences) + h_v.shape[0]) * n_indices,
     )
 
 
@@ -209,8 +183,8 @@ class TrainResult:
 
 def train(
     train_corpus: Corpus,
-    db_q: LinguisticDB | None,
-    db_v: VisualDB | None,
+    db_q: PrimitiveDB | None,
+    db_v: PrimitiveDB | None,
     params: ParamSet,
     vocabs: Vocabularies,
     lexicon: Lexicon,
@@ -220,18 +194,20 @@ def train(
 ) -> TrainResult:
     """Sequential, deterministic training loop.
 
-    With ``agg_config=None`` (or both databases disabled) this is the plain
-    baseline loop. Otherwise the enabled indices are re-encoded every
-    ``refresh_every`` epochs and every sample is augmented before the
-    forward/backward pass.
+    With ``agg_config=None`` (or no database both given and enabled) this is
+    the plain baseline loop. Otherwise the index of each database that is
+    given and enabled is re-encoded every ``refresh_every`` epochs, and every
+    sample is augmented from those indices before the forward/backward pass.
     """
     answer_index = {a: i for i, a in enumerate(vocabs.answers)}
     opt_config = OptimizerConfig(learning_rate=train_config.learning_rate)
     velocity: ParamSet | None = None
 
-    retrieval_on = agg_config is not None and (
-        (agg_config.use_dq and db_q is not None) or (agg_config.use_dv and db_v is not None)
-    )
+    if agg_config is None or not agg_config.use_dq:
+        db_q = None
+    if agg_config is None or not agg_config.use_dv:
+        db_v = None
+    retrieval_on = db_q is not None or db_v is not None
     index_q: FeatureIndex | None = None
     index_v: FeatureIndex | None = None
     snapshot_version = 0
@@ -241,9 +217,9 @@ def train(
     for epoch in range(1, train_config.epochs + 1):
         if retrieval_on and (epoch - 1) % agg_config.refresh_every == 0:
             snapshot_version += 1
-            if agg_config.use_dq and db_q is not None:
+            if db_q is not None:
                 index_q = encode_index(db_q, params, vocabs, train_corpus, snapshot_version)
-            if agg_config.use_dv and db_v is not None:
+            if db_v is not None:
                 index_v = encode_index(db_v, params, vocabs, train_corpus, snapshot_version)
             log.debug("epoch %d: encoded index snapshot %d", epoch, snapshot_version)
 

@@ -171,6 +171,14 @@ def test_ablate_without_seeds_uses_the_config_seed(workspace, tmp_path):
     assert [r[1] for r in rows[1:]] == ["3"] * 4
 
 
+def test_ablate_malformed_seeds_is_usage_error(workspace, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _ablate(workspace, tmp_path / "ablate", "--seeds", "0,x")
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "ablate").exists()
+
+
 def test_grad_check_passes(capsys):
     assert main(["grad-check", "--seed", "0"]) == 0
     assert "PASS" in capsys.readouterr().out

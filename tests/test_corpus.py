@@ -70,6 +70,44 @@ def test_load_questions_malformed_json_reports_line(tmp_path):
         load_questions(path)
 
 
+_GOOD_RECORD = {"id": "q1", "image_id": "i1", "question": "x?", "answer": "no"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '"q1"',
+        json.dumps({**_GOOD_RECORD, "question": 5}),
+        json.dumps({**_GOOD_RECORD, "id": ["q1"]}),
+        json.dumps({**_GOOD_RECORD, "image_id": None}),
+    ],
+)
+def test_load_questions_rejects_wrong_json_shape(tmp_path, line):
+    path = _write(tmp_path / "q.jsonl", [json.dumps(_GOOD_RECORD | {"id": "q0"}), line])
+    with pytest.raises(IngestionError, match="line 2"):
+        load_questions(path)
+
+
+@pytest.mark.parametrize(
+    "payload, where",
+    [
+        ([], "scene-graph file"),
+        ({"i1": []}, "'i1'"),
+        ({"i1": {"objects": ["o1"]}}, "'i1'"),
+        ({"i1": {"objects": {"o1": "dog"}}}, "'i1'.*'o1'"),
+        ({"i1": {"objects": {"o1": {"name": 5}}}}, "'i1'.*'o1'.*name"),
+        ({"i1": {"objects": {"o1": {"name": "dog", "attributes": "red"}}}}, "'i1'.*attributes"),
+        ({"i1": {"objects": {"o1": {"name": "dog", "attributes": [1]}}}}, "'i1'.*attribute"),
+    ],
+)
+def test_load_scene_graphs_rejects_wrong_json_shape(tmp_path, payload, where):
+    path = tmp_path / "sg.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IngestionError, match=where):
+        load_scene_graphs(path)
+
+
 # -- load_scene_graphs ----------------------------------------------------------
 
 

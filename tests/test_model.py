@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ragvqa.model import (
+    CHECKPOINT_MAGIC,
     ModelError,
     NumericError,
     OptimizerConfig,
@@ -370,6 +371,9 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ModelError, match="truncated"):
         load_checkpoint(path)
+    path.write_bytes(data[: len(CHECKPOINT_MAGIC) + 10])  # inside the 24-byte header
+    with pytest.raises(ModelError, match="truncated.*header"):
+        load_checkpoint(path)
 
 
 def _saved_checkpoint(tmp_path):
@@ -385,6 +389,18 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = _saved_checkpoint(tmp_path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ModelError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [{"labels": {}, "answers": []}, ["words", "labels", "answers"]],
+    ids=["no_words", "list"],
+)
+def test_checkpoint_malformed_sidecar(tmp_path, sidecar):
+    path = _saved_checkpoint(tmp_path)
+    path.with_suffix(".bin.json").write_text(json.dumps(sidecar), "utf-8")
+    with pytest.raises(ModelError, match="sidecar"):
         load_checkpoint(path)
 
 

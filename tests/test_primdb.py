@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,10 +147,8 @@ def test_encode_index_dangling_source(lexicon):
     corpus, vocabs, params, db = _encoded(lexicon)
     bad = dict(db.entries)
     bad[DOG_L] = (("q_nowhere", 0),)
-    from ragvqa.primdb import LinguisticDB
-
     with pytest.raises(RetrievalError, match="q_nowhere"):
-        encode_index(LinguisticDB(bad, db.cap), params, vocabs, corpus, 1)
+        encode_index(dataclasses.replace(db, entries=bad), params, vocabs, corpus, 1)
 
 
 def test_index_vectors_immutable(lexicon):

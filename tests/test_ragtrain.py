@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ragvqa.model import (
-    build_vocabularies,
-    encode_image,
-    encode_question,
-    init_params,
-    question_token_ids,
-    scene_object_ids,
-)
+from ragvqa import ragtrain
+from ragvqa.model import build_vocabularies, encode_question, init_params, question_token_ids
 from ragvqa.primdb import (
     FeatureIndex,
     IndexRecord,
@@ -20,7 +14,7 @@ from ragvqa.primdb import (
     build_dv,
     encode_index,
 )
-from ragvqa.primitives import Modality, PartOfSpeech, Primitive
+from ragvqa.primitives import Modality, PartOfSpeech, Primitive, extract_linguistic
 from ragvqa.ragtrain import (
     AggregationConfig,
     TrainConfig,
@@ -80,8 +74,8 @@ def test_aggregate_empty_results_contribute_zero():
 
 def test_aggregate_disabled_database_contributes_zero():
     p = np.array([1.0, 0.0])
-    config = AggregationConfig(w_q=0.6, w_v=0.4, k_q=1, k_v=1, use_dq=False)
-    out = aggregate(p, _result((1.0, 0.0)), _result((1.0, 0.0)), config)
+    config = AggregationConfig(w_q=0.6, w_v=0.4, k_q=1, k_v=1)
+    out = aggregate(p, None, _result((1.0, 0.0)), config)
     assert np.allclose(out, [1.4, 0.0], atol=1e-15)  # only the D_v term
 
 
@@ -137,6 +131,43 @@ def test_aggregate_linear_in_weights(seed, w_q, w_v, mode):
     assert np.allclose(delta2, 2 * delta1, atol=1e-12)
 
 
+def _cos(a, b):
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    if norm_a < 1e-12 or norm_b < 1e-12:
+        return 0.0
+    return float(np.dot(a, b)) / (norm_a * norm_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.sampled_from(["weighted_feature", "scalar_broadcast"]),
+    st.booleans(),
+)
+def test_aggregate_matches_per_item_loop(seed, d, n_q, n_v, mode, zero_p):
+    rng = np.random.default_rng(seed)
+    p = np.zeros(d) if zero_p else rng.standard_normal(d)
+    rows_q = rng.standard_normal((n_q, d))
+    rows_v = rng.standard_normal((n_v, d))
+    rows_q[rng.random(n_q) < 0.3] = 0.0
+    rows_v[rng.random(n_v) < 0.3] = 0.0
+    w_q, w_v = rng.uniform(0, 2, size=2)
+    config = AggregationConfig(w_q=w_q, w_v=w_v, k_q=4, k_v=3, mode=mode)
+
+    expected = p.copy()
+    for rows, weight, depth in ((rows_q, w_q, 4), (rows_v, w_v, 3)):
+        for r in rows[:depth]:
+            if mode == "weighted_feature":
+                expected = expected + (weight / depth) * _cos(p, r) * r
+            else:
+                expected = expected + (weight / depth) * _cos(p, r)
+    got = aggregate(p, _result(*rows_q), _result(*rows_v), config)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
 # -- augment_sample ---------------------------------------------------------------
 
 
@@ -163,12 +194,8 @@ def test_augment_zero_weights_matches_plain_encoders(lexicon):
     sample = corpus.samples[0]
     config = AggregationConfig(w_q=0.0, w_v=0.0, k_q=2, k_v=2)
     augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
-    h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
-    h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
     assert augmented.q_delta is None
     assert augmented.v_delta is None
-    assert np.array_equal(augmented.q_features, h_q)
-    assert np.array_equal(augmented.v_features, h_v)
 
 
 def test_augment_retrieval_round_count(lexicon):
@@ -178,8 +205,7 @@ def test_augment_retrieval_round_count(lexicon):
     augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
     assert augmented.retrieval_rounds == (3 + 1) * 2
 
-    dq_only = AggregationConfig(k_q=2, k_v=2, use_dv=False)
-    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, dq_only)
+    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, None, config)
     assert augmented.retrieval_rounds == (3 + 1) * 1
 
 
@@ -192,6 +218,23 @@ def test_augment_nonzero_weights_produce_deltas(lexicon):
     assert augmented.v_delta is not None and augmented.v_delta.any()
     # function-word positions ("is" is open-class "be"; "the" is not) pass through
     assert np.array_equal(augmented.q_delta[1], np.zeros(params.d))
+
+
+def test_augment_changes_exactly_the_extracted_positions(lexicon):
+    corpus, vocabs, params, db_q, db_v, _, _ = _training_setup(lexicon)
+    # "quietly" is an adverb and "jumping" a verb only by the suffix fallbacks
+    sample = make_sample("Is the dog quietly jumping?", [("dog", {"black"})], "no", "q9", "i9")
+    assert "quietly" not in lexicon.pos_table and "jumping" not in lexicon.pos_table
+    index_q = encode_index(db_q, params, vocabs, corpus, 1)
+    index_v = encode_index(db_v, params, vocabs, corpus, 1)
+    augmented = augment_sample(
+        sample, params, vocabs, lexicon, index_q, index_v, AggregationConfig(k_q=2, k_v=2)
+    )
+    _, occurrences = extract_linguistic(sample.question, lexicon)
+    positions = {occ.position for occ in occurrences}
+    assert {3, 4} <= positions and 1 not in positions  # "the" is closed-class
+    changed = {i for i, row in enumerate(augmented.q_delta) if row.any()}
+    assert changed == positions
 
 
 def test_augment_excludes_own_sources(lexicon):
@@ -220,6 +263,27 @@ def test_train_baseline_equivalence_small(lexicon):
     assert [m["mean_loss"] for m in with_retrieval.metrics] == [
         m["mean_loss"] for m in without.metrics
     ]
+
+
+def test_train_ignores_a_disabled_database_it_is_given(lexicon, monkeypatch):
+    corpus, vocabs, params, db_q, db_v, _, _ = _training_setup(lexicon)
+    config = TrainConfig(epochs=2, learning_rate=0.1)
+    dq_only = AggregationConfig(k_q=2, k_v=2, use_dv=False)
+    without_dv = train(corpus, db_q, None, params.copy(), vocabs, lexicon, config, dq_only)
+
+    encoded = []
+    real_encode_index = ragtrain.encode_index
+
+    def recording_encode_index(db, *args):
+        encoded.append(db.modality)
+        return real_encode_index(db, *args)
+
+    monkeypatch.setattr(ragtrain, "encode_index", recording_encode_index)
+    given_dv = train(corpus, db_q, db_v, params.copy(), vocabs, lexicon, config, dq_only)
+    assert encoded == [Modality.LINGUISTIC, Modality.LINGUISTIC]
+    for a, b in zip(given_dv.params.arrays(), without_dv.params.arrays()):
+        assert np.array_equal(a, b)
+    assert given_dv.metrics == without_dv.metrics
 
 
 def test_train_learning_progress(lexicon, small_pair):
