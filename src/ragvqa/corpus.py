@@ -122,8 +122,8 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
     """Read question+answer records from a JSON-lines file, in file order.
 
     Malformed records are reported with their line number; a non-object
-    line, a missing field, a non-string ``id``, ``image_id`` or ``question``,
-    or a duplicate id is an ingestion error.
+    line, a missing field, a non-string ``id``, ``image_id``, ``question``
+    or ``answer``, or a duplicate id is an ingestion error.
     """
     records: list[QuestionRecord] = []
     seen_ids: set[str] = set()
@@ -143,13 +143,13 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
                     raise IngestionError(
                         f"line {lineno}: record {record_id!r} missing field {name!r}"
                     )
-            for name in ("id", "image_id", "question"):
+            for name in ("id", "image_id", "question", "answer"):
                 _require(raw[name], str, f"line {lineno}: field {name!r}")
             if raw["id"] in seen_ids:
                 raise IngestionError(f"line {lineno}: duplicate question id {raw['id']!r}")
             seen_ids.add(raw["id"])
             question = Question(id=raw["id"], text=raw["question"], image_id=raw["image_id"])
-            records.append(QuestionRecord(question=question, answer=str(raw["answer"])))
+            records.append(QuestionRecord(question=question, answer=raw["answer"]))
     return records
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "encode_index",
     "cosines",
     "cosine",
+    "search",
     "retrieve",
 ]
 
@@ -66,18 +67,30 @@ class IndexRecord:
 
 
 class FeatureIndex:
-    """Immutable snapshot of encoded database entries."""
+    """Immutable snapshot of encoded database entries, one row per record,
+    each record's ordinal its row. For search it keeps the distinct vectors
+    (``unique``), their norms, each row's distinct vector (``row_unique``)
+    and each row's source as an integer code (``row_source``)."""
 
     def __init__(self, vectors: np.ndarray, records: tuple[IndexRecord, ...], snapshot_version: int):
         if vectors.shape[0] != len(records):
             raise RetrievalError("vector/record count mismatch")
+        for row, record in enumerate(records):
+            if record.ordinal != row:
+                raise RetrievalError(f"record ordinal {record.ordinal} is not its position {row}")
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.records = records
         self.snapshot_version = snapshot_version
-        self.norms = np.linalg.norm(vectors, axis=1) if len(records) else np.empty(0)
-        self.ordinals = np.array([r.ordinal for r in records], dtype=np.int64)
-        self.source_ids = np.array([r.source_id for r in records], dtype=object)
+        unique, row_unique = np.unique(vectors, axis=0, return_inverse=True)
+        self.unique = unique
+        self.unique_norms = np.linalg.norm(unique, axis=1)
+        self.row_unique = row_unique.reshape(-1)
+        self.source_codes: dict[str, int] = {}
+        self.row_source = np.array(
+            [self.source_codes.setdefault(r.source_id, len(self.source_codes)) for r in records],
+            dtype=np.int64,
+        )
 
     @property
     def size(self) -> int:
@@ -186,21 +199,21 @@ def encode_index(
     return FeatureIndex(matrix, tuple(records), snapshot_version)
 
 
-def cosines(query: np.ndarray, rows: np.ndarray, row_norms: np.ndarray | None = None) -> np.ndarray:
-    """Cosine similarity of ``query`` against each row, clipped to [-1, 1].
+def cosines(queries: np.ndarray, rows: np.ndarray, row_norms: np.ndarray | None = None) -> np.ndarray:
+    """Cosine similarity of each query against each row, clipped to [-1, 1].
 
-    A similarity is zero where the query's or the row's norm is below
-    NORM_FLOOR. ``row_norms`` are the rows' norms, when the caller has them.
+    ``queries`` is one vector (result: one similarity per row) or a matrix
+    of them (result: queries x rows). A similarity is zero where the
+    query's or the row's norm is below NORM_FLOOR. ``row_norms`` are the
+    rows' norms, when the caller has them.
     """
-    if rows.shape[1:] != query.shape:
-        raise RetrievalError(f"dimension mismatch: {query.shape} vs rows of {rows.shape[1:]}")
+    if rows.shape[1:] != queries.shape[-1:]:
+        raise RetrievalError(f"dimension mismatch: {queries.shape} vs rows of {rows.shape[1:]}")
     if row_norms is None:
         row_norms = np.linalg.norm(rows, axis=1)
-    q_norm = np.linalg.norm(query)
-    if q_norm < NORM_FLOOR:
-        return np.zeros(rows.shape[0])
-    valid = row_norms >= NORM_FLOOR
-    sims = np.where(valid, (rows @ query) / np.where(valid, row_norms * q_norm, 1.0), 0.0)
+    q_norms = np.linalg.norm(queries, axis=-1)[..., np.newaxis]
+    valid = (q_norms >= NORM_FLOOR) & (row_norms >= NORM_FLOOR)
+    sims = np.where(valid, (queries @ rows.T) / np.where(valid, q_norms * row_norms, 1.0), 0.0)
     return np.clip(sims, -1.0, 1.0)
 
 
@@ -209,39 +222,63 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(cosines(np.asarray(a, dtype=float), np.asarray(b, dtype=float)[np.newaxis])[0])
 
 
+def search(
+    queries: np.ndarray,
+    index: FeatureIndex,
+    k: int,
+    exclude_source: str | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-K by cosine for each query row, ties broken by ordinal.
+
+    Returns (rows, similarities), both queries x min(K, candidates): the
+    index rows of each query's neighbours, best first, and their scores.
+    Records whose source id equals ``exclude_source`` are not candidates.
+    Each distinct index vector is scored once, so identical rows tie
+    exactly. An empty index yields no neighbours with a warning; a
+    non-finite or mis-shaped query is an error.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if queries.ndim != 2:
+        raise RetrievalError(f"queries must be a matrix, got shape {queries.shape}")
+    n = queries.shape[0]
+    if index.size == 0:
+        log.warning("retrieval against an empty index")
+        return np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
+    if not np.all(np.isfinite(queries)):
+        raise RetrievalError("non-finite query vector")
+
+    candidates = np.flatnonzero(index.row_source != index.source_codes.get(exclude_source, -1))
+    sims = cosines(queries, index.unique, index.unique_norms)[:, index.row_unique[candidates]]
+    # every candidate tied with the K-th best survives; the exact order decides among them
+    m = min(k, candidates.size)
+    kth = -np.partition(-sims, m - 1, axis=1)[:, m - 1 : m] if m < candidates.size else -np.inf
+    query_row, column = np.nonzero(~(sims < kth))
+    row_sims = sims[query_row, column]
+    order = np.lexsort((column, -row_sims, query_row))
+    # survivors are grouped by query row; keep each row's first m
+    counts = np.bincount(query_row, minlength=n)
+    firsts = np.cumsum(counts) - counts
+    keep = order[(firsts[:, np.newaxis] + np.arange(m)).reshape(-1)]
+    return candidates[column[keep]].reshape(n, m), row_sims[keep].reshape(n, m)
+
+
 def retrieve(
     query: np.ndarray,
     index: FeatureIndex,
     k: int,
     exclude_source: str | None = None,
 ) -> RetrievalResult:
-    """Exact top-K by cosine over all records, ties broken by ordinal.
+    """Exact top-K by cosine over all records, ties broken by ordinal: the
+    one-query view of ``search``.
 
     Records whose source id equals ``exclude_source`` never participate.
     Returns fewer than K items when the index is small; an empty index
     yields an empty result with a warning. A non-finite query is an error.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if index.size == 0:
-        log.warning("retrieval against an empty index")
-        return RetrievalResult(items=())
-    if not np.all(np.isfinite(query)):
-        raise RetrievalError("non-finite query vector")
-
-    if exclude_source is None:
-        candidate = np.arange(index.size)
-    else:
-        candidate = np.flatnonzero(index.source_ids != exclude_source)
-
-    sims = cosines(query, index.vectors[candidate], index.norms[candidate])
-    order = np.lexsort((index.ordinals[candidate], -sims))[:k]
+    rows, sims = search(np.asarray(query)[np.newaxis], index, k, exclude_source)
     items = tuple(
-        RetrievedItem(
-            vector=index.vectors[candidate[i]],
-            similarity=float(sims[i]),
-            record=index.records[candidate[i]],
-        )
-        for i in order
+        RetrievedItem(vector=index.vectors[row], similarity=float(sim), record=index.records[row])
+        for row, sim in zip(rows[0].tolist(), sims[0].tolist())
     )
     return RetrievalResult(items=items)

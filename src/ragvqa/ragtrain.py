@@ -1,6 +1,6 @@
-"""Retrieval-augmented training: per-primitive retrieval from both databases,
-weighted aggregation, feature replacement, and the optimization loop with
-periodic index refresh.
+"""Retrieval-augmented training: retrieval from both databases for all of a
+sample's primitive features at once, weighted aggregation, feature
+replacement, and the optimization loop with periodic index refresh.
 
 Aggregation modes:
   weighted_feature (default)  p_a = p + (w_q/K_q) * sum cos(p, r) * r  [+ visual term]
@@ -38,7 +38,7 @@ from .primdb import (
     RetrievalResult,
     cosines,
     encode_index,
-    retrieve,
+    search,
 )
 from .primitives import Lexicon, extract_linguistic
 
@@ -119,10 +119,21 @@ def aggregate(
         if not result or weight == 0.0:
             continue
         vectors = np.array([item.vector for item in result.items[:depth]])
-        sims = cosines(p, vectors)
-        weighted = sims @ vectors if config.mode == "weighted_feature" else sims.sum()
-        out += (weight / depth) * weighted
+        _add_neighbours(out, cosines(p, vectors), vectors, weight, depth, config.mode)
     return out
+
+
+def _add_neighbours(
+    out: np.ndarray, sims: np.ndarray, vectors: np.ndarray, weight: float, depth: int, mode: str
+) -> None:
+    """Add ``(w/K)·Σ sim·r`` (or ``(w/K)·Σ sim`` to every component, in
+    ``scalar_broadcast``) to ``out`` in place. ``sims`` holds the neighbours'
+    similarities on its last axis and ``vectors`` their rows on the one
+    before; leading axes, when present, are one per feature."""
+    if mode == "weighted_feature":
+        out += (weight / depth) * np.matmul(sims[..., np.newaxis, :], vectors)[..., 0, :]
+    else:
+        out += (weight / depth) * sims.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -145,33 +156,36 @@ def augment_sample(
 
     The word positions ``extract_linguistic`` reports and every object
     feature are augmented; other word positions pass through unchanged.
-    Every index passed in is searched, and records sourced from this sample
-    are excluded.
+    Every index passed in is searched once for all of these features, and
+    records sourced from this sample are excluded. Each delta is what
+    ``aggregate`` adds to that feature given its ``retrieve`` results.
     """
     h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
     h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
     _prims, occurrences = extract_linguistic(sample.question, lexicon)
-
-    def _delta(p: np.ndarray) -> np.ndarray:
-        r_q = r_v = None
-        if index_q is not None:
-            r_q = retrieve(p, index_q, config.k_q, exclude_source=sample.question.id)
-        if index_v is not None:
-            r_v = retrieve(p, index_v, config.k_v, exclude_source=sample.scene_graph.image_id)
-        return aggregate(p, r_q, r_v, config) - p
+    positions = [occ.position for occ in occurrences]
+    features = np.concatenate((h_q[positions], h_v))
+    out = features.copy()
+    n_indices = 0
+    for index, source, weight, depth in (
+        (index_q, sample.question.id, config.w_q, config.k_q),
+        (index_v, sample.scene_graph.image_id, config.w_v, config.k_v),
+    ):
+        if index is None:
+            continue
+        n_indices += 1
+        rows, sims = search(features, index, depth, exclude_source=source)
+        if weight != 0.0:
+            _add_neighbours(out, sims, index.vectors[rows], weight, depth, config.mode)
+    delta = out - features
 
     q_delta = np.zeros_like(h_q)
-    for occ in occurrences:
-        q_delta[occ.position] = _delta(h_q[occ.position])
-    v_delta = np.zeros_like(h_v)
-    for j in range(h_v.shape[0]):
-        v_delta[j] = _delta(h_v[j])
-
-    n_indices = (index_q is not None) + (index_v is not None)
+    q_delta[positions] = delta[: len(positions)]
+    v_delta = delta[len(positions) :]
     return AugmentedSample(
         q_delta=q_delta if q_delta.any() else None,
         v_delta=v_delta if v_delta.any() else None,
-        retrieval_rounds=(len(occurrences) + h_v.shape[0]) * n_indices,
+        retrieval_rounds=features.shape[0] * n_indices,
     )
 
 

@@ -81,6 +81,9 @@ _GOOD_RECORD = {"id": "q1", "image_id": "i1", "question": "x?", "answer": "no"}
         json.dumps({**_GOOD_RECORD, "question": 5}),
         json.dumps({**_GOOD_RECORD, "id": ["q1"]}),
         json.dumps({**_GOOD_RECORD, "image_id": None}),
+        json.dumps({**_GOOD_RECORD, "answer": None}),
+        json.dumps({**_GOOD_RECORD, "answer": ["yes"]}),
+        json.dumps({**_GOOD_RECORD, "answer": 5}),
     ],
 )
 def test_load_questions_rejects_wrong_json_shape(tmp_path, line):

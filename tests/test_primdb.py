@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_encode_index_cardinality(lexicon):
     index = encode_index(db, params, vocabs, corpus, snapshot_version=1)
     assert index.size == n_entries
     assert index.snapshot_version == 1
-    assert list(index.ordinals) == list(range(n_entries))
+    assert [r.ordinal for r in index.records] == list(range(n_entries))
 
 
 def test_encode_index_reencode_moves_vectors_not_provenance(lexicon):
@@ -204,7 +205,7 @@ def _oracle(index, query, k, exclude=None):
     for i, record in enumerate(index.records):
         if exclude is not None and record.source_id == exclude:
             continue
-        norm = index.norms[i]
+        norm = np.linalg.norm(index.vectors[i])
         if q_norm < 1e-12 or norm < 1e-12:
             sim = 0.0
         else:
@@ -302,21 +303,78 @@ def test_retrieve_dimension_mismatch():
         retrieve(np.ones(4), index, k=0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
-    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=40),
     st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
 )
-def test_retrieve_matches_oracle_property(seed, n, k):
+def test_retrieve_matches_oracle_property(seed, n, k, pool_size, one_source):
+    """Rows drawn from a small pool, some of them zero, so duplicate rows
+    occur; K may exceed the index; with one source, excluding it leaves
+    no candidate."""
     rng = np.random.default_rng(seed)
-    index = _random_index(rng, n, 4, n_sources=max(1, n // 2))
-    query = rng.standard_normal(4)
-    exclude = f"s{rng.integers(0, max(1, n // 2))}" if n > 2 else None
+    pool = rng.standard_normal((pool_size, 4))
+    pool[rng.random(pool_size) < 0.2] = 0.0
+    n_sources = 1 if one_source else max(1, n // 2)
+    records = tuple(IndexRecord(DOG_L, f"s{i % n_sources}", 0, i) for i in range(n))
+    index = FeatureIndex(pool[rng.integers(0, pool_size, n)], records, snapshot_version=1)
+    query = pool[rng.integers(0, pool_size)] if rng.random() < 0.5 else rng.standard_normal(4)
+    exclude = f"s{rng.integers(0, n_sources)}" if rng.random() < 0.7 else None
     result = retrieve(query, index, k=k, exclude_source=exclude)
     expected = _oracle(index, query, k, exclude=exclude)
     assert [item.record for item in result.items] == [r for _, r in expected]
     assert np.allclose(
         [item.similarity for item in result.items], [s for s, _ in expected], atol=1e-12
     )
+    if one_source and exclude is not None:
+        assert result.items == ()
 
+
+def test_feature_index_rejects_ordinal_off_its_position():
+    records = (IndexRecord(DOG_L, "s0", 0, 0), IndexRecord(DOG_L, "s1", 0, 2))
+    with pytest.raises(RetrievalError, match="ordinal 2 is not its position 1"):
+        FeatureIndex(np.ones((2, 3)), records, snapshot_version=1)
+
+
+def _exact_order(index, query, exclude):
+    """(-similarity, ordinal) order of every record not from ``exclude``.
+    Each similarity is correctly rounded from its own row, so identical
+    rows tie."""
+    q_norm = math.sqrt(math.fsum(query * query))
+    scored = []
+    for record, row in zip(index.records, index.vectors):
+        if record.source_id == exclude:
+            continue
+        norm = math.sqrt(math.fsum(row * row))
+        if min(norm, q_norm) < 1e-12:
+            sim = 0.0
+        else:
+            sim = min(1.0, max(-1.0, math.fsum(row * query) / (norm * q_norm)))
+        scored.append((-sim, record.ordinal))
+    return [ordinal for _, ordinal in sorted(scored)]
+
+
+def test_retrieve_orders_identical_rows_by_ordinal_under_exclusion(lexicon, synth_pair):
+    """Every D_q and D_v row of the default corpus, under the initial
+    parameters, queried at full depth with its own source excluded. Rows
+    repeat (a word's feature depends only on its question prefix, an
+    object's only on its labels), and tied rows must keep ordinal order."""
+    train_c, _ = synth_pair
+    vocabs = build_vocabularies(train_c)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), seed=0)
+    mismatches = {}
+    for name, db in (("D_q", build_dq(train_c, 8, 0, lexicon)), ("D_v", build_dv(train_c, 32, 0))):
+        index = encode_index(db, params, vocabs, train_c, 1)
+        assert len(np.unique(index.vectors, axis=0)) < index.size
+        mismatches[name] = sum(
+            [
+                item.record.ordinal
+                for item in retrieve(row, index, index.size, exclude_source=record.source_id).items
+            ]
+            != _exact_order(index, row, record.source_id)
+            for record, row in zip(index.records, index.vectors)
+        )
+    assert mismatches == {"D_q": 0, "D_v": 0}

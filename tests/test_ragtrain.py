@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ragvqa import ragtrain
-from ragvqa.model import build_vocabularies, encode_question, init_params, question_token_ids
+from ragvqa.model import (
+    build_vocabularies,
+    encode_image,
+    encode_question,
+    init_params,
+    question_token_ids,
+    scene_object_ids,
+)
 from ragvqa.primdb import (
     FeatureIndex,
     IndexRecord,
@@ -13,6 +20,7 @@ from ragvqa.primdb import (
     build_dq,
     build_dv,
     encode_index,
+    retrieve,
 )
 from ragvqa.primitives import Modality, PartOfSpeech, Primitive, extract_linguistic
 from ragvqa.ragtrain import (
@@ -235,6 +243,39 @@ def test_augment_changes_exactly_the_extracted_positions(lexicon):
     assert {3, 4} <= positions and 1 not in positions  # "the" is closed-class
     changed = {i for i, row in enumerate(augmented.q_delta) if row.any()}
     assert changed == positions
+
+
+@pytest.mark.parametrize("mode", ["weighted_feature", "scalar_broadcast"])
+@pytest.mark.parametrize("use_dq, use_dv", [(True, True), (True, False), (False, True)])
+def test_augment_matches_per_primitive_reference(lexicon, small_pair, mode, use_dq, use_dv):
+    """Each delta equals ``aggregate(p, retrieve(p, D_q), retrieve(p, D_v)) - p``
+    for that primitive alone, its own sources excluded."""
+    corpus = small_pair[0]
+    vocabs = build_vocabularies(corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 6, 6, 3)
+    index_q = encode_index(build_dq(corpus, 8, 0, lexicon), params, vocabs, corpus, 1) if use_dq else None
+    index_v = encode_index(build_dv(corpus, 32, 0), params, vocabs, corpus, 1) if use_dv else None
+    config = AggregationConfig(k_q=3, k_v=5, mode=mode)
+
+    for sample in corpus.samples[:40]:
+        qid, image_id = sample.question.id, sample.scene_graph.image_id
+
+        def reference(p):
+            r_q = retrieve(p, index_q, config.k_q, qid) if index_q else None
+            r_v = retrieve(p, index_v, config.k_v, image_id) if index_v else None
+            return aggregate(p, r_q, r_v, config) - p
+
+        h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
+        h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
+        want_q = np.zeros_like(h_q)
+        for occ in extract_linguistic(sample.question, lexicon)[1]:
+            want_q[occ.position] = reference(h_q[occ.position])
+        want_v = np.array([reference(p) for p in h_v])
+
+        got = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
+        assert got.q_delta is not None and got.v_delta is not None
+        assert np.allclose(got.q_delta, want_q, rtol=0.0, atol=1e-12)
+        assert np.allclose(got.v_delta, want_v, rtol=0.0, atol=1e-12)
 
 
 def test_augment_excludes_own_sources(lexicon):
