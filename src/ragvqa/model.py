@@ -11,7 +11,9 @@ encoder outputs (the optional deltas) are treated as constants.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +40,6 @@ __all__ = [
     "cross_entropy",
     "loss_and_grads",
     "optimizer_step",
-    "flatten_params",
-    "unflatten_params",
     "finite_difference_grad",
     "gradient_check",
     "predict_answer",
@@ -66,20 +66,90 @@ class NumericError(ModelError):
     pass
 
 
-@dataclass
-class ParamSet:
-    """Model parameters; the same structure holds gradients."""
+@functools.cache
+def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    """(field, its slice of the flat buffer, its shape) per field, in
+    ``_PARAM_FIELDS`` order; computed once per shape tuple."""
+    if len(shapes) != len(_PARAM_FIELDS):
+        raise ModelError(f"expected {len(_PARAM_FIELDS)} parameter shapes, got {len(shapes)}")
+    fields = []
+    offset = 0
+    for name, shape in zip(_PARAM_FIELDS, shapes):
+        size = math.prod(shape)
+        fields.append((name, slice(offset, offset + size), shape))
+        offset += size
+    return tuple(fields)
 
-    word_emb: np.ndarray   # (n_words, d)
-    w_in: np.ndarray       # (d, d)
-    w_h: np.ndarray        # (d, d)
-    b_h: np.ndarray        # (d,)
-    cat_emb: np.ndarray    # (n_labels, d)
-    attr_emb: np.ndarray   # (n_labels, d)
-    w1: np.ndarray         # (2d, d_h)
-    b1: np.ndarray         # (d_h,)
-    w2: np.ndarray         # (d_h, n_answers)
-    b2: np.ndarray         # (d_h -> n_answers,) bias
+
+def _param_shapes(
+    n_words: int, n_labels: int, n_answers: int, d: int, d_h: int
+) -> tuple[tuple[int, ...], ...]:
+    return (
+        (n_words, d), (d, d), (d, d), (d,),
+        (n_labels, d), (n_labels, d), (2 * d, d_h), (d_h,), (d_h, n_answers), (n_answers,),
+    )
+
+
+def _param_count(shapes: Sequence[Sequence[int]]) -> int:
+    return sum(math.prod(shape) for shape in shapes)
+
+
+class ParamSet:
+    """Model parameters; the same structure holds gradients.
+
+    Every value lives in one contiguous float64 buffer, ``flat``, laid out in
+    ``_PARAM_FIELDS`` order, and each named field is a view of it:
+    ``word_emb`` (n_words, d), ``w_in`` and ``w_h`` (d, d), ``b_h`` (d,),
+    ``cat_emb`` and ``attr_emb`` (n_labels, d), ``w1`` (2d, d_h), ``b1``
+    (d_h,), ``w2`` (d_h, n_answers) and ``b2`` (n_answers,). Assigning to a
+    field writes into its view, so the fields never leave the buffer.
+    """
+
+    def __init__(self, word_emb, w_in, w_h, b_h, cat_emb, attr_emb, w1, b1, w2, b2) -> None:
+        """Copy the given arrays into a new buffer."""
+        arrays = [
+            np.asarray(a) for a in (word_emb, w_in, w_h, b_h, cat_emb, attr_emb, w1, b1, w2, b2)
+        ]
+        flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        self._bind(flat, _layout(tuple(a.shape for a in arrays)))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: Sequence[Sequence[int]]) -> "ParamSet":
+        """Wrap ``flat`` without copying; ``shapes`` are the fields' shapes in
+        ``_PARAM_FIELDS`` order."""
+        layout = _layout(tuple(tuple(shape) for shape in shapes))
+        size = _param_count(shapes)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ModelError(
+                f"a parameter buffer of these shapes is float64 ({size},), "
+                f"got {flat.dtype} {flat.shape}"
+            )
+        return cls.__new__(cls)._bind(flat, layout)
+
+    def _bind(self, flat: np.ndarray, layout) -> "ParamSet":
+        state = self.__dict__
+        state["flat"] = flat
+        state["_layout"] = layout
+        for name, span, shape in layout:
+            state[name] = flat[span].reshape(shape)
+        return self
+
+    def _like(self, flat: np.ndarray) -> "ParamSet":
+        """A ParamSet of this one's shapes over ``flat``, not copied."""
+        return ParamSet.__new__(ParamSet)._bind(flat, self._layout)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _PARAM_FIELDS:
+            raise AttributeError(f"ParamSet has no settable attribute {name!r}")
+        view = self.__dict__[name]
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ModelError(f"{name} has shape {view.shape}, cannot assign shape {value.shape}")
+        view[...] = value
+
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(shape for _name, _span, shape in self._layout)
 
     @property
     def d(self) -> int:
@@ -94,16 +164,16 @@ class ParamSet:
         return self.w2.shape[1]
 
     def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in _PARAM_FIELDS]
+        return [self.__dict__[name] for name in _PARAM_FIELDS]
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet(*(np.zeros_like(a) for a in self.arrays()))
+        return self._like(np.zeros_like(self.flat))
 
     def copy(self) -> "ParamSet":
-        return ParamSet(*(a.copy() for a in self.arrays()))
+        return self._like(self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass(frozen=True)
@@ -132,24 +202,11 @@ def build_vocabularies(train_corpus: Corpus) -> Vocabularies:
 def init_params(
     n_words: int, n_labels: int, n_answers: int, d: int = 16, d_h: int = 32, seed: int = 0
 ) -> ParamSet:
-    """Uniform(-0.1, 0.1) initialization from a seeded generator."""
-    rng = np.random.default_rng(seed)
-
-    def u(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    return ParamSet(
-        word_emb=u(n_words, d),
-        w_in=u(d, d),
-        w_h=u(d, d),
-        b_h=u(d),
-        cat_emb=u(n_labels, d),
-        attr_emb=u(n_labels, d),
-        w1=u(2 * d, d_h),
-        b1=u(d_h),
-        w2=u(d_h, n_answers),
-        b2=u(n_answers),
-    )
+    """Uniform(-0.1, 0.1) initialization from a seeded generator, drawn in
+    ``_PARAM_FIELDS`` order."""
+    shapes = _param_shapes(n_words, n_labels, n_answers, d, d_h)
+    flat = np.random.default_rng(seed).uniform(-0.1, 0.1, size=_param_count(shapes))
+    return ParamSet.from_flat(flat, shapes)
 
 
 def question_token_ids(vocabs: Vocabularies, text: str) -> list[int]:
@@ -202,10 +259,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def forward(params: ParamSet, q_features: np.ndarray, v_features: np.ndarray) -> np.ndarray:
-    """Answer distribution from the two feature lists."""
-    if q_features.shape[0] == 0 or v_features.shape[0] == 0:
-        raise ModelError("forward requires non-empty feature lists")
+def _fuse(
+    params: ParamSet, q_features: np.ndarray, v_features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fusion head: (pooled input z, hidden layer a1, answer distribution)."""
     z = np.concatenate([q_features.mean(axis=0), v_features.mean(axis=0)])
     a1 = np.tanh(z @ params.w1 + params.b1)
     if not np.all(np.isfinite(a1)):
@@ -213,7 +270,14 @@ def forward(params: ParamSet, q_features: np.ndarray, v_features: np.ndarray) ->
     logits = a1 @ params.w2 + params.b2
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite values in fusion logit layer")
-    return _softmax(logits)
+    return z, a1, _softmax(logits)
+
+
+def forward(params: ParamSet, q_features: np.ndarray, v_features: np.ndarray) -> np.ndarray:
+    """Answer distribution from the two feature lists."""
+    if q_features.shape[0] == 0 or v_features.shape[0] == 0:
+        raise ModelError("forward requires non-empty feature lists")
+    return _fuse(params, q_features, v_features)[2]
 
 
 def cross_entropy(probs: np.ndarray, answer_index: int) -> float:
@@ -247,121 +311,74 @@ def loss_and_grads(
         )
     q_aug = h_q if q_delta is None else h_q + q_delta
     v_aug = h_v if v_delta is None else h_v + v_delta
-
-    n, m = q_aug.shape[0], v_aug.shape[0]
-    q_bar = q_aug.mean(axis=0)
-    v_bar = v_aug.mean(axis=0)
-    z = np.concatenate([q_bar, v_bar])
-    a1 = np.tanh(z @ params.w1 + params.b1)
-    logits = a1 @ params.w2 + params.b2
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite values in fusion layers")
-    probs = _softmax(logits)
+    z, a1, probs = _fuse(params, q_aug, v_aug)
     loss = cross_entropy(probs, answer_index)
 
     grads = params.zeros_like()
-    p_ans = float(probs[answer_index])
-    if p_ans <= PROB_FLOOR:
+    if float(probs[answer_index]) <= PROB_FLOOR:
         # clamp engaged: the loss is locally constant
         return loss, probs, grads
 
-    d_logits = probs.copy()
+    d_logits = grads.b2
+    d_logits[...] = probs
     d_logits[answer_index] -= 1.0
-    grads.w2 = np.outer(a1, d_logits)
-    grads.b2 = d_logits
-    d_a1 = params.w2 @ d_logits
-    d_z1 = d_a1 * (1.0 - a1 * a1)
-    grads.w1 = np.outer(z, d_z1)
-    grads.b1 = d_z1
+    np.outer(a1, d_logits, out=grads.w2)
+    d_z1 = (params.w2 @ d_logits) * (1.0 - a1 * a1)
+    np.outer(z, d_z1, out=grads.w1)
+    grads.b1[...] = d_z1
     d_z = params.w1 @ d_z1
     d = params.d
-    d_qbar, d_vbar = d_z[:d], d_z[d:]
+    n, m = h_q.shape[0], h_v.shape[0]
 
-    # question side: backprop through time (deltas are constants)
-    d_h_next = np.zeros(d)
+    # question side: backprop through time (deltas are constants); the loop
+    # carries the recurrence, the weight gradients sum over all tokens at once
+    d_q_each = d_z[:d] / n
+    dtanh_q = 1.0 - h_q * h_q
     w_h_t = params.w_h.T
-    w_in_t = params.w_in.T
-    d_q_each = d_qbar / n
+    d_pre = np.empty_like(h_q)
+    d_h = d_q_each
     for i in range(n - 1, -1, -1):
-        d_h = d_q_each + d_h_next
-        d_pre = d_h * (1.0 - h_q[i] * h_q[i])
-        e = params.word_emb[token_ids[i]]
-        grads.w_in += np.outer(d_pre, e)
-        if i > 0:
-            grads.w_h += np.outer(d_pre, h_q[i - 1])
-        grads.b_h += d_pre
-        grads.word_emb[token_ids[i]] += w_in_t @ d_pre
-        d_h_next = w_h_t @ d_pre
+        d_pre[i] = d_h * dtanh_q[i]
+        d_h = d_q_each + w_h_t @ d_pre[i]
+    grads.w_in[...] = d_pre.T @ params.word_emb[token_ids]
+    grads.w_h[...] = d_pre[1:].T @ h_q[:-1]
+    grads.b_h[...] = d_pre.sum(axis=0)
+    np.add.at(grads.word_emb, token_ids, d_pre @ params.w_in)
 
-    # visual side
-    d_v_each = d_vbar / m
-    for j, (cat_id, attr_ids) in enumerate(objects):
-        d_u = d_v_each * (1.0 - h_v[j] * h_v[j])
-        grads.cat_emb[cat_id] += d_u
-        if attr_ids:
-            share = d_u / len(attr_ids)
-            for a in attr_ids:
-                grads.attr_emb[a] += share
+    # visual side: repeated category and attribute ids add up
+    d_u = (d_z[d:] / m) * (1.0 - h_v * h_v)
+    np.add.at(grads.cat_emb, [cat_id for cat_id, _ in objects], d_u)
+    owners = [j for j, (_, attr_ids) in enumerate(objects) for _ in attr_ids]
+    if owners:
+        counts = np.array([len(objects[j][1]) for j in owners], dtype=np.float64)
+        np.add.at(
+            grads.attr_emb,
+            [a for _, attr_ids in objects for a in attr_ids],
+            d_u[owners] / counts[:, np.newaxis],
+        )
     return loss, probs, grads
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float
-    momentum: float = 0.0
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning rate must be non-negative")
 
 
-def optimizer_step(
-    params: ParamSet,
-    grads: ParamSet,
-    config: OptimizerConfig,
-    velocity: ParamSet | None = None,
-) -> tuple[ParamSet, ParamSet | None]:
-    """One gradient-descent step; returns (new params, new velocity).
-
-    Plain descent when momentum is zero, classical momentum otherwise.
-    """
-    if config.momentum != 0.0:
-        if velocity is None:
-            velocity = params.zeros_like()
-        new_velocity = ParamSet(
-            *(config.momentum * v + g for v, g in zip(velocity.arrays(), grads.arrays()))
-        )
-        update_source = new_velocity
-    else:
-        new_velocity = None
-        update_source = grads
-    new_params = ParamSet(
-        *(
-            p - config.learning_rate * u
-            for p, u in zip(params.arrays(), update_source.arrays())
-        )
-    )
+def optimizer_step(params: ParamSet, grads: ParamSet, config: OptimizerConfig) -> ParamSet:
+    """One plain gradient-descent step into a new buffer; neither input changes."""
+    new_params = params._like(params.flat - config.learning_rate * grads.flat)
     if not new_params.all_finite():
         raise NumericError("non-finite parameter update")
-    return new_params, new_velocity
+    return new_params
 
 
 # ---------------------------------------------------------------------------
-# Flattening and the finite-difference oracle
+# The finite-difference oracle
 # ---------------------------------------------------------------------------
-
-
-def flatten_params(params: ParamSet) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def unflatten_params(vector: np.ndarray, template: ParamSet) -> ParamSet:
-    out = []
-    offset = 0
-    for a in template.arrays():
-        out.append(vector[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
-    return ParamSet(*out)
 
 
 def finite_difference_grad(
@@ -370,14 +387,13 @@ def finite_difference_grad(
     coords: Sequence[int],
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference gradient at the given flat coordinates."""
-    theta = flatten_params(params)
+    """Central-difference gradient at the given coordinates of ``flat``."""
     out = np.empty(len(coords))
     for k, idx in enumerate(coords):
         for sign, slot in ((+1.0, 0), (-1.0, 1)):
-            bumped = theta.copy()
+            bumped = params.flat.copy()
             bumped[idx] += sign * eps
-            value = loss_fn(unflatten_params(bumped, params))
+            value = loss_fn(params._like(bumped))
             if slot == 0:
                 plus = value
             else:
@@ -396,7 +412,7 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients
     over ``n_coords`` randomly selected parameter coordinates."""
-    flat_analytic = flatten_params(analytic)
+    flat_analytic = analytic.flat
     rng = np.random.default_rng(seed)
     coords = rng.choice(flat_analytic.size, size=min(n_coords, flat_analytic.size), replace=False)
     fd = finite_difference_grad(loss_fn, params, coords.tolist(), eps)
@@ -452,8 +468,7 @@ def save_checkpoint(path: str | Path, params: ParamSet, vocabs: Vocabularies) ->
                 CHECKPOINT_VERSION, params.d, params.d_h, n_words, n_labels, params.n_answers,
             )
         )
-        for arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
     sidecar = {
         "words": vocabs.words,
         "labels": vocabs.labels,
@@ -476,26 +491,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, Vocabularies]:
         version, d, d_h, n_words, n_labels, n_answers = CHECKPOINT_HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise ModelError(f"unsupported checkpoint version {version}")
-        shapes = {
-            "word_emb": (n_words, d),
-            "w_in": (d, d),
-            "w_h": (d, d),
-            "b_h": (d,),
-            "cat_emb": (n_labels, d),
-            "attr_emb": (n_labels, d),
-            "w1": (2 * d, d_h),
-            "b1": (d_h,),
-            "w2": (d_h, n_answers),
-            "b2": (n_answers,),
-        }
-        arrays = {}
-        for name in _PARAM_FIELDS:
-            shape = shapes[name]
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ModelError(f"truncated checkpoint while reading {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        shapes = _param_shapes(n_words, n_labels, n_answers, d, d_h)
+        n_bytes = 8 * _param_count(shapes)
+        buf = fh.read(n_bytes)
+        if len(buf) != n_bytes:
+            raise ModelError(f"truncated checkpoint: {len(buf)} of {n_bytes} parameter bytes")
         if fh.read(1):
             raise ModelError("trailing bytes after the last parameter group")
     sidecar_text = path.with_suffix(path.suffix + ".json").read_text("utf-8")
@@ -517,4 +517,4 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, Vocabularies]:
             raise ModelError(
                 f"sidecar has {size} {field_name} but the checkpoint expects {rows}"
             )
-    return ParamSet(**arrays), vocabs
+    return ParamSet.from_flat(np.frombuffer(buf, dtype="<f8").astype(np.float64), shapes), vocabs

@@ -212,10 +212,20 @@ def train(
     the plain baseline loop. Otherwise the index of each database that is
     given and enabled is re-encoded every ``refresh_every`` epochs, and every
     sample is augmented from those indices before the forward/backward pass.
+    Each sample's token ids, object ids and answer index are derived once
+    per call. ``params`` itself is never modified.
     """
     answer_index = {a: i for i, a in enumerate(vocabs.answers)}
     opt_config = OptimizerConfig(learning_rate=train_config.learning_rate)
-    velocity: ParamSet | None = None
+    steps = [
+        (
+            sample,
+            question_token_ids(vocabs, sample.question.text),
+            scene_object_ids(vocabs, sample.scene_graph),
+            answer_index[sample.answer],
+        )
+        for sample in train_corpus.samples
+    ]
 
     if agg_config is None or not agg_config.use_dq:
         db_q = None
@@ -238,10 +248,8 @@ def train(
             log.debug("epoch %d: encoded index snapshot %d", epoch, snapshot_version)
 
         losses = []
-        for sample in train_corpus.samples:
+        for sample, token_ids, objects, answer in steps:
             step += 1
-            token_ids = question_token_ids(vocabs, sample.question.text)
-            objects = scene_object_ids(vocabs, sample.scene_graph)
             q_delta = v_delta = None
             if retrieval_on:
                 try:
@@ -253,8 +261,7 @@ def train(
                 q_delta, v_delta = augmented.q_delta, augmented.v_delta
             try:
                 loss, _probs, grads = loss_and_grads(
-                    params, token_ids, objects, answer_index[sample.answer],
-                    q_delta, v_delta,
+                    params, token_ids, objects, answer, q_delta, v_delta
                 )
             except NumericError as exc:
                 raise TrainingDiverged(f"non-finite loss at step {step}: {exc}") from exc
@@ -262,7 +269,7 @@ def train(
                 raise TrainingDiverged(f"non-finite loss at step {step}")
             losses.append(loss)
             try:
-                params, velocity = optimizer_step(params, grads, opt_config, velocity)
+                params = optimizer_step(params, grads, opt_config)
             except NumericError as exc:
                 raise TrainingDiverged(f"non-finite update at step {step}: {exc}") from exc
 

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ragvqa.model import (
+    _PARAM_FIELDS,
+    CHECKPOINT_HEADER,
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ModelError,
     NumericError,
     OptimizerConfig,
@@ -17,7 +20,6 @@ from ragvqa.model import (
     encode_image,
     encode_question,
     finite_difference_grad,
-    flatten_params,
     forward,
     gradient_check,
     init_params,
@@ -27,7 +29,6 @@ from ragvqa.model import (
     question_token_ids,
     save_checkpoint,
     scene_object_ids,
-    unflatten_params,
 )
 
 from conftest import make_corpus, make_sample
@@ -35,6 +36,74 @@ from conftest import make_corpus, make_sample
 
 def zero_params(n_words=4, n_labels=4, n_answers=4, d=3, d_h=5) -> ParamSet:
     return init_params(n_words, n_labels, n_answers, d=d, d_h=d_h, seed=0).zeros_like()
+
+
+# -- the parameter buffer ---------------------------------------------------------
+
+
+def test_fields_are_views_of_flat_in_field_order():
+    params = init_params(5, 4, 3, d=3, d_h=4, seed=1)
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    base = params.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, array in zip(_PARAM_FIELDS, params.arrays()):
+        assert array is getattr(params, name)
+        assert np.shares_memory(array, params.flat)
+        assert array.__array_interface__["data"][0] == base + 8 * offset
+        assert np.array_equal(array.ravel(), params.flat[offset : offset + array.size])
+        offset += array.size
+    assert offset == params.flat.size
+
+
+def test_field_assignment_writes_through_and_checks_shape():
+    params = init_params(5, 4, 3, d=3, d_h=4, seed=1)
+    view = params.w2
+    params.w2 = np.ones_like(params.w2)
+    assert params.w2 is view
+    start = params.flat.size - params.b2.size - params.w2.size
+    assert np.all(params.flat[start : start + params.w2.size] == 1.0)
+    before = params.flat.copy()
+    with pytest.raises(ModelError, match="shape"):
+        params.w2 = np.ones((2, 2))
+    with pytest.raises(AttributeError):
+        params.flat = np.zeros_like(params.flat)
+    assert np.array_equal(params.flat, before)
+
+
+def test_constructors_copy_or_wrap():
+    params = init_params(5, 4, 3, d=3, d_h=4, seed=1)
+    arrays = [a.copy() for a in params.arrays()]
+    built = ParamSet(*arrays)
+    arrays[0][0, 0] = 7.0
+    assert built.word_emb[0, 0] == params.word_emb[0, 0]
+    wrapped = ParamSet.from_flat(params.flat, params.shapes)
+    assert np.shares_memory(wrapped.flat, params.flat)
+    with pytest.raises(ModelError):
+        ParamSet.from_flat(params.flat[:-1], params.shapes)
+
+
+def test_copy_and_zeros_like_are_independent_of_their_source():
+    params = init_params(5, 4, 3, d=3, d_h=4, seed=1)
+    before = params.flat.copy()
+    copied, zeros = params.copy(), params.zeros_like()
+    assert np.array_equal(copied.flat, before)
+    assert np.all(zeros.flat == 0.0) and zeros.shapes == params.shapes
+    copied.w_in[0, 0] += 1.0
+    zeros.b_h[0] = 1.0
+    assert np.array_equal(params.flat, before)
+    b1_before = params.b1[0]
+    params.b1[0] = 5.0
+    assert copied.b1[0] == b1_before
+    assert zeros.b1[0] == 0.0
+
+
+def test_all_finite_sees_every_field():
+    params = init_params(5, 4, 3, d=3, d_h=4, seed=1)
+    assert params.all_finite()
+    for name in _PARAM_FIELDS:
+        broken = params.copy()
+        getattr(broken, name).flat[-1] = np.nan
+        assert not broken.all_finite()
 
 
 # -- encoders -----------------------------------------------------------------
@@ -213,7 +282,7 @@ def test_gradients_near_zero_at_confident_correct_answer():
     loss, probs, grads = loss_and_grads(params, token_ids, objects, answer)
     assert probs[answer] > 1 - 1e-12
     assert loss < 1e-9
-    assert np.linalg.norm(flatten_params(grads)) < 1e-8
+    assert np.linalg.norm(grads.flat) < 1e-8
 
 
 def test_gradients_zero_when_clamp_engaged():
@@ -223,7 +292,75 @@ def test_gradients_zero_when_clamp_engaged():
     params.b2[answer] = -40.0
     loss, _, grads = loss_and_grads(params, token_ids, objects, answer)
     assert loss >= -math.log(1e-11)
-    assert np.all(flatten_params(grads) == 0.0)
+    assert np.all(grads.flat == 0.0)
+
+
+def _reference_loss_and_grads(params, token_ids, objects, answer_index, q_delta, v_delta):
+    """Per-token backprop through time and per-object visual loops, one
+    outer product and one embedding row at a time."""
+    h_q = encode_question(params, token_ids)
+    h_v = encode_image(params, objects)
+    q_aug = h_q if q_delta is None else h_q + q_delta
+    v_aug = h_v if v_delta is None else h_v + v_delta
+    n, m, d = len(token_ids), len(objects), params.d
+    z = np.concatenate([q_aug.mean(axis=0), v_aug.mean(axis=0)])
+    a1 = np.tanh(z @ params.w1 + params.b1)
+    logits = a1 @ params.w2 + params.b2
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    grads = params.zeros_like()
+    d_logits = probs.copy()
+    d_logits[answer_index] -= 1.0
+    grads.w2 = np.outer(a1, d_logits)
+    grads.b2 = d_logits
+    d_z1 = (params.w2 @ d_logits) * (1.0 - a1 * a1)
+    grads.w1 = np.outer(z, d_z1)
+    grads.b1 = d_z1
+    d_z = params.w1 @ d_z1
+    d_h_next = np.zeros(d)
+    for i in range(n - 1, -1, -1):
+        d_pre = (d_z[:d] / n + d_h_next) * (1.0 - h_q[i] * h_q[i])
+        grads.w_in += np.outer(d_pre, params.word_emb[token_ids[i]])
+        if i > 0:
+            grads.w_h += np.outer(d_pre, h_q[i - 1])
+        grads.b_h += d_pre
+        grads.word_emb[token_ids[i]] += params.w_in.T @ d_pre
+        d_h_next = params.w_h.T @ d_pre
+    for j, (cat_id, attr_ids) in enumerate(objects):
+        d_u = d_z[d:] / m * (1.0 - h_v[j] * h_v[j])
+        grads.cat_emb[cat_id] += d_u
+        for a in attr_ids:
+            grads.attr_emb[a] += d_u / len(attr_ids)
+    return cross_entropy(probs, answer_index), probs, grads
+
+
+@pytest.mark.parametrize("with_deltas", [False, True])
+@pytest.mark.parametrize(
+    "token_ids, objects",
+    [
+        ([1, 3, 1, 1, 5, 3], [(1, (2, 3)), (4, ())]),
+        ([2, 6, 7], [(2, (1, 3)), (2, (3,)), (2, (1, 3)), (5, (3, 3))]),
+        ([4], [(1, (2,))]),
+        ([1, 2, 3], [(3, ())]),
+    ],
+    ids=["repeated_tokens", "shared_object_ids", "single_token", "attributeless_object"],
+)
+def test_loss_and_grads_matches_per_token_reference(token_ids, objects, with_deltas):
+    base = init_params(8, 6, 4, d=4, d_h=5, seed=7)
+    params = ParamSet.from_flat(5.0 * base.flat, base.shapes)  # weights in +-0.5
+    rng = np.random.default_rng(3)
+    q_delta = 0.3 * rng.standard_normal((len(token_ids), 4)) if with_deltas else None
+    v_delta = 0.3 * rng.standard_normal((len(objects), 4)) if with_deltas else None
+    loss, probs, grads = loss_and_grads(params, token_ids, objects, 2, q_delta, v_delta)
+    want_loss, want_probs, want = _reference_loss_and_grads(
+        params, token_ids, objects, 2, q_delta, v_delta
+    )
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert np.max(np.abs(probs - want_probs)) <= 1e-12
+    for name, got, expected in zip(_PARAM_FIELDS, grads.arrays(), want.arrays()):
+        assert np.max(np.abs(got - expected)) <= 1e-12, name
+    touched = {name for name, g in zip(_PARAM_FIELDS, want.arrays()) if np.any(g != 0.0)}
+    assert touched >= {"word_emb", "w_in", "b_h", "cat_emb", "w1", "b1", "w2", "b2"}
 
 
 def test_delta_shape_mismatch_errors():
@@ -236,18 +373,20 @@ def test_finite_difference_grad_matches_on_quadratic():
     params = init_params(2, 2, 2, d=2, d_h=2, seed=0)
 
     def loss_fn(p):
-        return float(np.sum(flatten_params(p) ** 2))
+        return float(np.sum(p.flat ** 2))
 
     fd = finite_difference_grad(loss_fn, params, [0, 1, 5], eps=1e-5)
-    theta = flatten_params(params)
+    theta = params.flat
     assert np.allclose(fd, 2 * theta[[0, 1, 5]], atol=1e-8)
 
 
-def test_flatten_unflatten_round_trip():
+def test_flat_round_trip():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=4)
-    rebuilt = unflatten_params(flatten_params(params), params)
+    rebuilt = ParamSet.from_flat(params.flat.copy(), params.shapes)
+    assert np.array_equal(rebuilt.flat, params.flat)
     for a, b in zip(params.arrays(), rebuilt.arrays()):
         assert np.array_equal(a, b)
+    assert np.array_equal(ParamSet(*params.arrays()).flat, params.flat)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -255,17 +394,15 @@ def test_flatten_unflatten_round_trip():
 
 def test_optimizer_zero_gradients_no_change():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=0)
-    updated, _ = optimizer_step(params, params.zeros_like(), OptimizerConfig(0.1))
-    for a, b in zip(params.arrays(), updated.arrays()):
-        assert np.array_equal(a, b)
+    updated = optimizer_step(params, params.zeros_like(), OptimizerConfig(0.1))
+    assert np.array_equal(params.flat, updated.flat)
 
 
 def test_optimizer_zero_learning_rate_no_change():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=0)
-    grads = ParamSet(*(np.ones_like(a) for a in params.arrays()))
-    updated, _ = optimizer_step(params, grads, OptimizerConfig(0.0))
-    for a, b in zip(params.arrays(), updated.arrays()):
-        assert np.array_equal(a, b)
+    grads = ParamSet.from_flat(np.ones_like(params.flat), params.shapes)
+    updated = optimizer_step(params, grads, OptimizerConfig(0.0))
+    assert np.array_equal(params.flat, updated.flat)
 
 
 def test_optimizer_single_coordinate_arithmetic():
@@ -273,19 +410,22 @@ def test_optimizer_single_coordinate_arithmetic():
     params.b2 = np.array([1.0, 0.0])
     grads = params.zeros_like()
     grads.b2 = np.array([0.5, 0.0])
-    updated, _ = optimizer_step(params, grads, OptimizerConfig(0.1))
+    updated = optimizer_step(params, grads, OptimizerConfig(0.1))
     assert updated.b2[0] == pytest.approx(0.95, abs=1e-15)
+    assert updated.flat[-2] == updated.b2[0]
 
 
-def test_optimizer_momentum_accumulates():
-    params = init_params(3, 3, 2, d=2, d_h=3, seed=0).zeros_like()
-    grads = params.zeros_like()
-    grads.b2 = np.array([1.0, 0.0])
-    config = OptimizerConfig(0.1, momentum=0.9)
-    p1, vel = optimizer_step(params, grads, config)
-    p2, _ = optimizer_step(p1, grads, config, velocity=vel)
-    assert p1.b2[0] == pytest.approx(-0.1)
-    assert p2.b2[0] == pytest.approx(-0.1 - 0.1 * 1.9)
+def test_optimizer_step_leaves_inputs_unchanged():
+    params = init_params(5, 4, 3, d=3, d_h=4, seed=2)
+    grads = ParamSet.from_flat(
+        np.random.default_rng(0).standard_normal(params.flat.size), params.shapes
+    )
+    params_before, grads_before = params.flat.tobytes(), grads.flat.tobytes()
+    updated = optimizer_step(params, grads, OptimizerConfig(0.1))
+    assert params.flat.tobytes() == params_before
+    assert grads.flat.tobytes() == grads_before
+    assert not np.shares_memory(updated.flat, params.flat)
+    assert np.array_equal(updated.flat, params.flat - 0.1 * grads.flat)
 
 
 def test_optimizer_nonfinite_update_errors():
@@ -336,7 +476,7 @@ def test_init_params_deterministic():
     for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
     assert a.all_finite()
-    assert np.all(np.abs(flatten_params(a)) <= 0.1)
+    assert np.all(np.abs(a.flat) <= 0.1)
 
 
 # -- checkpoint -----------------------------------------------------------------
@@ -352,6 +492,19 @@ def test_checkpoint_round_trip(tmp_path):
     for a, b in zip(params.arrays(), loaded_params.arrays()):
         assert np.array_equal(a, b)
     assert loaded_vocabs == vocabs
+
+
+def test_checkpoint_bytes_are_header_then_fields_in_order(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    params, vocabs = load_checkpoint(path)
+    header = CHECKPOINT_HEADER.pack(
+        CHECKPOINT_VERSION, params.d, params.d_h,
+        len(vocabs.words), len(vocabs.labels), len(vocabs.answers),
+    )
+    fields = b"".join(getattr(params, name).astype("<f8").tobytes() for name in _PARAM_FIELDS)
+    assert path.read_bytes() == CHECKPOINT_MAGIC + header + fields
+    expected = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 4, 6, 2)
+    assert params.flat.tobytes() == expected.flat.tobytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -349,6 +349,20 @@ def test_train_deterministic(lexicon):
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("retrieval", [False, True])
+def test_train_leaves_the_callers_params_unchanged(lexicon, retrieval):
+    corpus, vocabs, params, db_q, db_v, _, _ = _training_setup(lexicon)
+    before = params.flat.tobytes()
+    agg = AggregationConfig(k_q=2, k_v=2) if retrieval else None
+    config = TrainConfig(epochs=2, learning_rate=0.1)
+    first = train(corpus, db_q, db_v, params, vocabs, lexicon, config, agg)
+    assert params.flat.tobytes() == before
+    assert not np.shares_memory(first.params.flat, params.flat)
+    second = train(corpus, db_q, db_v, params, vocabs, lexicon, config, agg)
+    assert second.params.flat.tobytes() == first.params.flat.tobytes()
+    assert second.metrics == first.metrics
+
+
 def test_train_refresh_moves_index_vectors(lexicon):
     corpus, vocabs, params, db_q, _, _, _ = _training_setup(lexicon)
     before = encode_index(db_q, params, vocabs, corpus, 1)
