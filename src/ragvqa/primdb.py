@@ -3,8 +3,14 @@
 A database maps each primitive to up to T sampled contexts (question id +
 token position, or image id + object ordinal). Encoding a database under the
 current model parameters produces an immutable FeatureIndex snapshot; queries
-against a snapshot are exhaustive exact top-K by cosine similarity with ties
-broken by insertion ordinal.
+against a snapshot are exact top-K by cosine similarity with ties broken by
+insertion ordinal.
+
+A snapshot's rows repeat (a word's feature depends only on its question
+prefix, an object's only on its labels), so search scores each distinct
+vector once and ranks in distinct-vector space: the K-th best distinct score
+among those that still hold a candidate row is a lower bound on the K-th best
+row score, so only the distinct vectors at or above it are expanded to rows.
 """
 
 from __future__ import annotations
@@ -68,9 +74,16 @@ class IndexRecord:
 
 class FeatureIndex:
     """Immutable snapshot of encoded database entries, one row per record,
-    each record's ordinal its row. For search it keeps the distinct vectors
-    (``unique``), their norms, each row's distinct vector (``row_unique``)
-    and each row's source as an integer code (``row_source``)."""
+    each record's ordinal its row. Every vector must be finite.
+
+    For search it keeps the distinct vectors (``unique``) and their norms,
+    and, as int arrays built once: each distinct vector's row count
+    (``unique_counts``); the rows grouped by distinct vector, in ordinal
+    order within a group (``group_rows``), and each group's start in it
+    (``group_starts``); each row's source as an integer code
+    (``row_source``); and each source's rows as distinct-vector ids
+    (``source_unique``), source ``c`` at
+    ``source_starts[c]:source_starts[c + 1]``."""
 
     def __init__(self, vectors: np.ndarray, records: tuple[IndexRecord, ...], snapshot_version: int):
         if vectors.shape[0] != len(records):
@@ -78,19 +91,32 @@ class FeatureIndex:
         for row, record in enumerate(records):
             if record.ordinal != row:
                 raise RetrievalError(f"record ordinal {record.ordinal} is not its position {row}")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise RetrievalError(
+                f"non-finite vector in row {row} (source {records[row].source_id!r})"
+            )
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.records = records
         self.snapshot_version = snapshot_version
-        unique, row_unique = np.unique(vectors, axis=0, return_inverse=True)
+        unique, row_unique, counts = np.unique(
+            vectors, axis=0, return_inverse=True, return_counts=True
+        )
+        row_unique = row_unique.reshape(-1)
         self.unique = unique
-        self.unique_norms = np.linalg.norm(unique, axis=1)
-        self.row_unique = row_unique.reshape(-1)
+        self.unique_norms = _norms(unique)
+        self.unique_counts = counts
+        self.group_rows = np.argsort(row_unique, kind="stable")
+        self.group_starts = np.cumsum(counts) - counts
         self.source_codes: dict[str, int] = {}
         self.row_source = np.array(
             [self.source_codes.setdefault(r.source_id, len(self.source_codes)) for r in records],
             dtype=np.int64,
         )
+        self.source_unique = row_unique[np.argsort(self.row_source, kind="stable")]
+        self.source_starts = np.concatenate(([0], np.cumsum(np.bincount(self.row_source))))
 
     @property
     def size(self) -> int:
@@ -199,6 +225,12 @@ def encode_index(
     return FeatureIndex(matrix, tuple(records), snapshot_version)
 
 
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis; the expression ``np.linalg.norm``
+    evaluates, without its dispatch."""
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+
+
 def cosines(queries: np.ndarray, rows: np.ndarray, row_norms: np.ndarray | None = None) -> np.ndarray:
     """Cosine similarity of each query against each row, clipped to [-1, 1].
 
@@ -210,11 +242,15 @@ def cosines(queries: np.ndarray, rows: np.ndarray, row_norms: np.ndarray | None 
     if rows.shape[1:] != queries.shape[-1:]:
         raise RetrievalError(f"dimension mismatch: {queries.shape} vs rows of {rows.shape[1:]}")
     if row_norms is None:
-        row_norms = np.linalg.norm(rows, axis=1)
-    q_norms = np.linalg.norm(queries, axis=-1)[..., np.newaxis]
-    valid = (q_norms >= NORM_FLOOR) & (row_norms >= NORM_FLOOR)
-    sims = np.where(valid, (queries @ rows.T) / np.where(valid, q_norms * row_norms, 1.0), 0.0)
-    return np.clip(sims, -1.0, 1.0)
+        row_norms = _norms(rows)
+    q_norms = _norms(queries)[..., np.newaxis]
+    invalid = (q_norms < NORM_FLOOR) | (row_norms < NORM_FLOOR)
+    denominators = q_norms * row_norms
+    denominators[invalid] = 1.0
+    sims = (queries @ rows.T) / denominators
+    sims[invalid] = 0.0
+    np.minimum(sims, 1.0, out=sims)
+    return np.maximum(sims, -1.0, out=sims)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -234,8 +270,12 @@ def search(
     index rows of each query's neighbours, best first, and their scores.
     Records whose source id equals ``exclude_source`` are not candidates.
     Each distinct index vector is scored once, so identical rows tie
-    exactly. An empty index yields no neighbours with a warning; a
-    non-finite or mis-shaped query is an error.
+    exactly. The m = min(K, candidates) best distinct vectors that still
+    hold a candidate row hold at least m candidate rows, so every top-K row
+    lies in a distinct vector scoring at least the m-th best of them; only
+    those vectors are expanded to rows and sorted by (-sim, ordinal). An
+    empty index yields no neighbours with a warning; a non-finite or
+    mis-shaped query is an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -245,22 +285,44 @@ def search(
     if index.size == 0:
         log.warning("retrieval against an empty index")
         return np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
-    if not np.all(np.isfinite(queries)):
+    if not np.isfinite(queries).all():
         raise RetrievalError("non-finite query vector")
 
-    candidates = np.flatnonzero(index.row_source != index.source_codes.get(exclude_source, -1))
-    sims = cosines(queries, index.unique, index.unique_norms)[:, index.row_unique[candidates]]
-    # every candidate tied with the K-th best survives; the exact order decides among them
-    m = min(k, candidates.size)
-    kth = -np.partition(-sims, m - 1, axis=1)[:, m - 1 : m] if m < candidates.size else -np.inf
-    query_row, column = np.nonzero(~(sims < kth))
-    row_sims = sims[query_row, column]
-    order = np.lexsort((column, -row_sims, query_row))
-    # survivors are grouped by query row; keep each row's first m
+    sims = cosines(queries, index.unique, index.unique_norms)
+    n_unique = sims.shape[1]
+    code = index.source_codes.get(exclude_source, -1)
+    m = index.size
+    excluded = 0  # the excluded source's rows per distinct vector
+    if code >= 0:
+        start, stop = index.source_starts[code], index.source_starts[code + 1]
+        excluded = np.bincount(index.source_unique[start:stop], minlength=n_unique)
+        m -= stop - start
+        # a distinct vector whose rows all come from the excluded source holds no candidate
+        np.copyto(sims, -np.inf, where=index.unique_counts == excluded)
+    m = min(k, m)
+    if m == 0:
+        return np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
+    # the m-th best distinct score per query; -inf keeps every distinct vector
+    cut = n_unique - m
+    kth = np.partition(sims, cut, axis=1)[:, cut : cut + 1] if cut > 0 else -np.inf
+    query_row, group = np.nonzero(~(sims < kth))
+    # expand each surviving distinct vector to its first rows in ordinal order: its
+    # rows tie, so no more than its first m candidate rows can be kept
+    sizes = np.minimum(index.unique_counts, excluded + m)[group]
+    ends = np.cumsum(sizes)
+    shifts = np.repeat(index.group_starts[group] - ends + sizes, sizes)
+    rows = index.group_rows[np.arange(ends[-1]) + shifts]
+    row_sims = np.repeat(sims[query_row, group], sizes)
+    query_row = np.repeat(query_row, sizes)
+    if code >= 0:
+        # the excluded source's rows sort after every candidate of their query
+        row_sims[index.row_source[rows] == code] = -np.inf
+    order = np.lexsort((rows, -row_sims, query_row))
+    # survivors are grouped by query row, each query's candidates first; keep its first m
     counts = np.bincount(query_row, minlength=n)
     firsts = np.cumsum(counts) - counts
     keep = order[(firsts[:, np.newaxis] + np.arange(m)).reshape(-1)]
-    return candidates[column[keep]].reshape(n, m), row_sims[keep].reshape(n, m)
+    return rows[keep].reshape(n, m), row_sims[keep].reshape(n, m)
 
 
 def retrieve(

@@ -7,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from ragvqa.model import build_vocabularies, init_params
 from ragvqa.primdb import (
+    NORM_FLOOR,
     FeatureIndex,
     IndexRecord,
     RetrievalError,
     build_dq,
     build_dv,
     cosine,
+    cosines,
     encode_index,
     retrieve,
+    search,
 )
 from ragvqa.primitives import (
     Modality,
@@ -187,6 +190,57 @@ def test_cosine_dimension_mismatch():
         cosine(np.ones(2), np.ones(3))
 
 
+def _reference_cosines(queries, rows, row_norms=None):
+    """The cosine body written with ``np.linalg.norm``, ``np.where`` and
+    ``np.clip``."""
+    if row_norms is None:
+        row_norms = np.linalg.norm(rows, axis=1)
+    q_norms = np.linalg.norm(queries, axis=-1)[..., np.newaxis]
+    valid = (q_norms >= NORM_FLOOR) & (row_norms >= NORM_FLOOR)
+    sims = np.where(valid, (queries @ rows.T) / np.where(valid, q_norms * row_norms, 1.0), 0.0)
+    return np.clip(sims, -1.0, 1.0)
+
+
+def test_cosines_clips_above_one():
+    """This vector's self-similarity rounds to just above 1 before the clip."""
+    v = np.array([0.1, 0.7])
+    assert v @ v / (np.linalg.norm(v) * np.linalg.norm(v)) > 1.0
+    assert cosines(v, v[np.newaxis])[0] == 1.0
+    assert cosines(-v, v[np.newaxis])[0] == -1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_cosines_matches_reference_bit_for_bit(seed, n_queries, n_rows, d, pass_norms):
+    """Vector (``n_queries == 0``) and matrix queries; rows and queries of
+    norm 0 or below NORM_FLOOR; rows that are queries scaled by a positive
+    or negative factor, so similarities round to just above 1 or below -1."""
+    rng = np.random.default_rng(seed)
+    queries = rng.standard_normal((max(n_queries, 1), d))
+    rows = rng.standard_normal((n_rows, d))
+    for matrix, n in ((queries, len(queries)), (rows, n_rows)):
+        matrix[rng.random(n) < 0.2] = 0.0
+        matrix[rng.random(n) < 0.2] *= 1e-13
+    copies = rng.random(n_rows) < 0.4
+    rows[copies] = queries[rng.integers(0, len(queries), copies.sum())] * rng.choice(
+        [-3.0, -1.0, 0.5, 7.0], (copies.sum(), 1)
+    )
+    if n_queries == 0:
+        queries = queries[0]
+    norms = np.linalg.norm(rows, axis=1) if pass_norms else None
+    got = cosines(queries, rows, norms)
+    expected = _reference_cosines(queries, rows, norms)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 # -- retrieve -------------------------------------------------------------------
 
 
@@ -331,6 +385,119 @@ def test_retrieve_matches_oracle_property(seed, n, k, pool_size, one_source):
     )
     if one_source and exclude is not None:
         assert result.items == ()
+
+
+def test_feature_index_rejects_non_finite_row():
+    vectors = np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0], [1.0, 1.0]])
+    records = tuple(IndexRecord(DOG_L, f"s{i}", 0, i) for i in range(4))
+    with pytest.raises(RetrievalError, match=r"non-finite vector in row 1 \(source 's1'\)"):
+        FeatureIndex(vectors, records, snapshot_version=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(min_value=1, max_value=2),
+)
+def test_feature_index_rejects_non_finite_rows_property(seed, n, bad, n_bad):
+    """NaN, +inf or -inf injected into one or two random rows: the index
+    is rejected at build time, naming the first such row and its source."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, 3))
+    bad_rows = rng.integers(0, n, n_bad)
+    vectors[bad_rows, rng.integers(0, 3, n_bad)] = bad
+    records = tuple(IndexRecord(DOG_L, f"s{i % 3}", 0, i) for i in range(n))
+    first = bad_rows.min()
+    with pytest.raises(
+        RetrievalError, match=rf"non-finite vector in row {first} \(source 's{first % 3}'\)"
+    ):
+        FeatureIndex(vectors, records, snapshot_version=1)
+
+
+def _row_space_search(queries, index, k, exclude):
+    """Top-K in row space: every candidate row gets its distinct vector's
+    score, one partition per query finds the K-th best row score, every row
+    at or above it is sorted by (query, -sim, ordinal) and each query keeps
+    its first min(K, candidates)."""
+    n = queries.shape[0]
+    unique, row_unique = np.unique(index.vectors, axis=0, return_inverse=True)
+    candidates = np.flatnonzero([record.source_id != exclude for record in index.records])
+    unique_sims = _reference_cosines(queries, unique, np.linalg.norm(unique, axis=1))
+    sims = unique_sims[:, row_unique.reshape(-1)[candidates]]
+    m = min(k, candidates.size)
+    kth = -np.partition(-sims, m - 1, axis=1)[:, m - 1 : m] if m < candidates.size else -np.inf
+    query_row, column = np.nonzero(~(sims < kth))
+    row_sims = sims[query_row, column]
+    order = np.lexsort((column, -row_sims, query_row))
+    counts = np.bincount(query_row, minlength=n)
+    firsts = np.cumsum(counts) - counts
+    keep = order[(firsts[:, np.newaxis] + np.arange(m)).reshape(-1)]
+    return candidates[column[keep]].reshape(n, m), row_sims[keep].reshape(n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["live", "candidates", "free"]),
+    st.integers(min_value=-1, max_value=1),
+    st.booleans(),
+)
+def test_search_matches_row_space_reference(
+    seed, n_rows, pool_size, n_sources, n_queries, k_base, k_offset, exclude_owner
+):
+    """Query matrices against indices whose rows come from a small pool:
+    zero rows, duplicates, and copies scaled by powers of two, which tie
+    exactly with their original. Pool vector 0 is held by source s0 alone,
+    so excluding s0 removes every row of a distinct vector. K is drawn
+    below, at or above the number of live distinct vectors or of candidate
+    rows. Rows and similarities equal the row-space kernel bit for bit, and
+    each query row equals its one-query ``retrieve``: the same rows, the
+    similarities within 1e-12."""
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((pool_size, 4))
+    pool[rng.random(pool_size) < 0.2] = 0.0
+    scaled = rng.random(pool_size) < 0.3
+    factors = rng.choice([0.5, 2.0, 4.0], (scaled.sum(), 1))
+    pool[scaled] = pool[rng.integers(0, pool_size, scaled.sum())] * factors
+    members = rng.integers(0, pool_size, n_rows)
+    sources = np.where(members == 0, 0, rng.integers(0, n_sources, n_rows))
+    records = tuple(IndexRecord(DOG_L, f"s{src}", 0, i) for i, src in enumerate(sources))
+    index = FeatureIndex(pool[members], records, snapshot_version=1)
+    if exclude_owner:
+        exclude = "s0"
+    else:
+        exclude = f"s{rng.integers(0, n_sources)}" if rng.random() < 0.5 else None
+
+    queries = rng.standard_normal((n_queries, 4))
+    kind = rng.integers(0, 4, n_queries)
+    queries[kind == 1] = pool[rng.integers(0, pool_size, (kind == 1).sum())]
+    queries[kind == 2] = 0.0
+    queries[kind == 3] *= 1e-14
+    live = np.array([r.source_id != exclude for r in records])
+    counts = {
+        "live": len(np.unique(index.vectors[live], axis=0)),
+        "candidates": int(live.sum()),
+        "free": int(rng.integers(1, n_rows + 3)),
+    }
+    k = max(1, counts[k_base] + k_offset)
+
+    rows, sims = search(queries, index, k, exclude_source=exclude)
+    expected_rows, expected_sims = _row_space_search(queries, index, k, exclude)
+    assert rows.shape == sims.shape == (n_queries, min(k, counts["candidates"]))
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(sims, expected_sims)
+    # one query is scored by a matrix-vector product, whose last bit may differ
+    for query, query_rows, query_sims in zip(queries, rows, sims):
+        single = retrieve(query, index, k, exclude_source=exclude)
+        assert [item.record.ordinal for item in single.items] == query_rows.tolist()
+        single_sims = [item.similarity for item in single.items]
+        assert np.allclose(single_sims, query_sims, rtol=0, atol=1e-12)
 
 
 def test_feature_index_rejects_ordinal_off_its_position():
