@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
+from .primitives import tokenize
+
 __all__ = [
     "CorpusError",
     "IngestionError",
@@ -205,8 +207,9 @@ def build_corpus(
 
     ``answer_vocab`` comes from the train split; for the train split itself
     pass None and the vocabulary is the deduplicated answers in file order.
-    Samples whose image has no scene graph are skipped and flagged in the
-    report (the benchmark builder ignores them downstream).
+    A sample the model cannot encode is skipped, and its id and the reason
+    go into the report: its image has no scene graph or no objects, or its
+    question has no tokens.
     """
     graph_by_image: dict[str, SceneGraph] = {}
     for graph in scene_graphs:
@@ -219,13 +222,16 @@ def build_corpus(
     for record in records:
         graph = graph_by_image.get(record.question.image_id)
         if graph is None:
-            report.skipped_sample_ids.append(record.question.id)
-            report.warnings.append(
-                f"question {record.question.id!r}: no scene graph for image "
-                f"{record.question.image_id!r}; sample skipped"
-            )
+            reason = f"no scene graph for image {record.question.image_id!r}"
+        elif not graph.objects:
+            reason = f"image {record.question.image_id!r} has no objects"
+        elif not tokenize(record.question.text):
+            reason = "the question has no tokens"
+        else:
+            samples.append(Sample(record.question, graph, record.answer))
             continue
-        samples.append(Sample(record.question, graph, record.answer))
+        report.skipped_sample_ids.append(record.question.id)
+        report.warnings.append(f"question {record.question.id!r}: {reason}; sample skipped")
 
     if answer_vocab is None:
         vocab = tuple(dict.fromkeys(s.answer for s in samples))
@@ -251,18 +257,13 @@ def save_corpus(corpus: Corpus, questions_path: str | Path, scene_graphs_path: s
     """Write a corpus back to the external file formats (round-trippable)."""
     with open(questions_path, "w", encoding="utf-8") as fh:
         for sample in corpus.samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": sample.question.id,
-                        "image_id": sample.question.image_id,
-                        "question": sample.question.text,
-                        "answer": sample.answer,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {
+                "id": sample.question.id,
+                "image_id": sample.question.image_id,
+                "question": sample.question.text,
+                "answer": sample.answer,
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     graphs = {}
     for sample in corpus.samples:
         graph = sample.scene_graph

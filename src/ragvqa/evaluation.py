@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .benchmark import LEVELS, SPLIT_LABELS
 from .corpus import Corpus
-from .model import ParamSet, Vocabularies, predict_answer
+from .model import ParamSet, Vocabularies, answered_correctly
 from .ragtrain import AggregationConfig
 
 __all__ = [
@@ -62,24 +62,19 @@ def evaluate(
 ) -> EvalReport:
     """Exact-match accuracy per split, per level, and overall.
 
-    A ground-truth answer outside the closed vocabulary counts as incorrect.
-    An empty split reports accuracy None with n=0.
+    Correctness is ``answered_correctly``'s, so a ground-truth answer
+    outside the closed vocabulary counts as incorrect. An empty split
+    reports accuracy None with n=0.
     """
     by_id = {s.question.id: s for s in corpus.samples}
-    known_answers = set(vocabs.answers[:-1])
     per_split_counts: dict[str, tuple[int, int]] = {}
     for label in SPLIT_LABELS:
         ids = splits.get(label, [])
-        correct = 0
         for sample_id in ids:
-            sample = by_id.get(sample_id)
-            if sample is None:
+            if sample_id not in by_id:
                 raise EvalError(f"split {label} references missing sample {sample_id!r}")
-            if sample.answer not in known_answers:
-                continue
-            if predict_answer(params, vocabs, sample) == sample.answer:
-                correct += 1
-        per_split_counts[label] = (correct, len(ids))
+        samples = [by_id[sample_id] for sample_id in ids]
+        per_split_counts[label] = (sum(answered_correctly(params, vocabs, samples)), len(ids))
 
     def ratio(correct: int, total: int) -> float | None:
         return correct / total if total else None

@@ -29,7 +29,6 @@ __all__ = [
     "NumericError",
     "ParamSet",
     "Vocabularies",
-    "OptimizerConfig",
     "build_vocabularies",
     "init_params",
     "question_token_ids",
@@ -43,6 +42,7 @@ __all__ = [
     "finite_difference_grad",
     "gradient_check",
     "predict_answer",
+    "answered_correctly",
     "corpus_accuracy",
     "save_checkpoint",
     "load_checkpoint",
@@ -292,15 +292,18 @@ def loss_and_grads(
     answer_index: int,
     q_delta: np.ndarray | None = None,
     v_delta: np.ndarray | None = None,
+    encoded: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, ParamSet]:
     """Forward pass plus exact analytic gradients.
 
     ``q_delta`` / ``v_delta`` are optional constant additions to the encoder
     outputs (retrieval aggregation); no gradient flows into them.
+    ``encoded``, if given, is ``(h_q, h_v)`` encoded under ``params`` from these ids.
     Returns (loss, answer distribution, gradients).
     """
-    h_q = encode_question(params, token_ids)
-    h_v = encode_image(params, objects)
+    if encoded is None:
+        encoded = encode_question(params, token_ids), encode_image(params, objects)
+    h_q, h_v = encoded
     if q_delta is not None and q_delta.shape != h_q.shape:
         raise ModelError(
             f"question delta shape {q_delta.shape} != encoder output {h_q.shape}"
@@ -359,18 +362,9 @@ def loss_and_grads(
     return loss, probs, grads
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    learning_rate: float
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-
-
-def optimizer_step(params: ParamSet, grads: ParamSet, config: OptimizerConfig) -> ParamSet:
+def optimizer_step(params: ParamSet, grads: ParamSet, learning_rate: float) -> ParamSet:
     """One plain gradient-descent step into a new buffer; neither input changes."""
-    new_params = params._like(params.flat - config.learning_rate * grads.flat)
+    new_params = params._like(params.flat - learning_rate * grads.flat)
     if not new_params.all_finite():
         raise NumericError("non-finite parameter update")
     return new_params
@@ -390,14 +384,12 @@ def finite_difference_grad(
     """Central-difference gradient at the given coordinates of ``flat``."""
     out = np.empty(len(coords))
     for k, idx in enumerate(coords):
-        for sign, slot in ((+1.0, 0), (-1.0, 1)):
+        values = []
+        for sign in (+1.0, -1.0):
             bumped = params.flat.copy()
             bumped[idx] += sign * eps
-            value = loss_fn(params._like(bumped))
-            if slot == 0:
-                plus = value
-            else:
-                minus = value
+            values.append(loss_fn(params._like(bumped)))
+        plus, minus = values
         out[k] = (plus - minus) / (2.0 * eps)
     return out
 
@@ -436,16 +428,23 @@ def predict_answer(params: ParamSet, vocabs: Vocabularies, sample: Sample) -> st
     return vocabs.answers[int(np.argmax(probs))]
 
 
+def answered_correctly(
+    params: ParamSet, vocabs: Vocabularies, samples: Sequence[Sample]
+) -> list[bool]:
+    """Whether the model's answer to each sample is exactly its ground truth.
+    A ground truth outside the vocabulary is wrong without a prediction."""
+    known = set(vocabs.answers[:-1])
+    return [
+        sample.answer in known and predict_answer(params, vocabs, sample) == sample.answer
+        for sample in samples
+    ]
+
+
 def corpus_accuracy(params: ParamSet, vocabs: Vocabularies, samples: Sequence[Sample]) -> float:
-    """Exact-match accuracy; ground truths outside the vocabulary count wrong."""
+    """Exact-match accuracy, by ``answered_correctly``; NaN for no samples."""
     if not samples:
         return float("nan")
-    known = set(vocabs.answers[:-1])
-    correct = 0
-    for sample in samples:
-        if sample.answer in known and predict_answer(params, vocabs, sample) == sample.answer:
-            correct += 1
-    return correct / len(samples)
+    return sum(answered_correctly(params, vocabs, samples)) / len(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -517,4 +516,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, Vocabularies]:
             raise ModelError(
                 f"sidecar has {size} {field_name} but the checkpoint expects {rows}"
             )
+    # every id indexes an embedding row, and every row has one id
+    for field_name, ids in (("words", vocabs.words), ("labels", vocabs.labels)):
+        if sorted(ids.values()) != list(range(len(ids))):
+            raise ModelError(f"sidecar {field_name} ids are not exactly 0..{len(ids) - 1}")
     return ParamSet.from_flat(np.frombuffer(buf, dtype="<f8").astype(np.float64), shapes), vocabs

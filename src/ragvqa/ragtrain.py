@@ -1,6 +1,7 @@
-"""Retrieval-augmented training: retrieval from both databases for all of a
-sample's primitive features at once, weighted aggregation, feature
-replacement, and the optimization loop with periodic index refresh.
+"""Retrieval-augmented training: the optimization loop with periodic index
+refresh, which encodes each sample once per step, and the augmentation of
+those features: retrieval from both databases for all of a sample's
+primitive features at once, weighted aggregation, feature replacement.
 
 Aggregation modes:
   weighted_feature (default)  p_a = p + (w_q/K_q) * sum cos(p, r) * r  [+ visual term]
@@ -20,7 +21,6 @@ import numpy as np
 from .corpus import Corpus, Sample
 from .model import (
     NumericError,
-    OptimizerConfig,
     ParamSet,
     Vocabularies,
     corpus_accuracy,
@@ -145,25 +145,21 @@ class AugmentedSample:
 
 def augment_sample(
     sample: Sample,
-    params: ParamSet,
-    vocabs: Vocabularies,
-    lexicon: Lexicon,
+    h_q: np.ndarray,
+    h_v: np.ndarray,
+    positions: list[int],
     index_q: FeatureIndex | None,
     index_v: FeatureIndex | None,
     config: AggregationConfig,
 ) -> AugmentedSample:
-    """Retrieve-and-aggregate every primitive feature of one sample.
+    """Retrieve-and-aggregate every primitive feature of one encoded sample.
 
-    The word positions ``extract_linguistic`` reports and every object
-    feature are augmented; other word positions pass through unchanged.
-    Every index passed in is searched once for all of these features, and
-    records sourced from this sample are excluded. Each delta is what
-    ``aggregate`` adds to that feature given its ``retrieve`` results.
+    The word features ``h_q`` at ``positions`` (those ``extract_linguistic``
+    reports) and every object feature ``h_v`` are augmented; other words pass
+    through unchanged. Every index passed in is searched once for all of
+    them, and records sourced from ``sample`` are excluded. Each delta is
+    what ``aggregate`` adds to that feature given its ``retrieve`` results.
     """
-    h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
-    h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
-    _prims, occurrences = extract_linguistic(sample.question, lexicon)
-    positions = [occ.position for occ in occurrences]
     features = np.concatenate((h_q[positions], h_v))
     out = features.copy()
     n_indices = 0
@@ -212,26 +208,29 @@ def train(
     the plain baseline loop. Otherwise the index of each database that is
     given and enabled is re-encoded every ``refresh_every`` epochs, and every
     sample is augmented from those indices before the forward/backward pass.
-    Each sample's token ids, object ids and answer index are derived once
-    per call. ``params`` itself is never modified.
+    Each sample's ids, answer index and, with retrieval, primitive positions
+    are derived once per call, and each step encodes its sample once for
+    both retrieval and the loss. ``params`` itself is never modified.
     """
+    if agg_config is None or not agg_config.use_dq:
+        db_q = None
+    if agg_config is None or not agg_config.use_dv:
+        db_v = None
+    retrieval_on = db_q is not None or db_v is not None
+
     answer_index = {a: i for i, a in enumerate(vocabs.answers)}
-    opt_config = OptimizerConfig(learning_rate=train_config.learning_rate)
     steps = [
         (
             sample,
             question_token_ids(vocabs, sample.question.text),
             scene_object_ids(vocabs, sample.scene_graph),
             answer_index[sample.answer],
+            [occ.position for occ in extract_linguistic(sample.question, lexicon)[1]]
+            if retrieval_on
+            else None,
         )
         for sample in train_corpus.samples
     ]
-
-    if agg_config is None or not agg_config.use_dq:
-        db_q = None
-    if agg_config is None or not agg_config.use_dv:
-        db_v = None
-    retrieval_on = db_q is not None or db_v is not None
     index_q: FeatureIndex | None = None
     index_v: FeatureIndex | None = None
     snapshot_version = 0
@@ -248,20 +247,22 @@ def train(
             log.debug("epoch %d: encoded index snapshot %d", epoch, snapshot_version)
 
         losses = []
-        for sample, token_ids, objects, answer in steps:
+        for sample, token_ids, objects, answer, positions in steps:
             step += 1
+            h_q = encode_question(params, token_ids)
+            h_v = encode_image(params, objects)
             q_delta = v_delta = None
             if retrieval_on:
                 try:
                     augmented = augment_sample(
-                        sample, params, vocabs, lexicon, index_q, index_v, agg_config
+                        sample, h_q, h_v, positions, index_q, index_v, agg_config
                     )
                 except RetrievalError as exc:
                     raise TrainingDiverged(f"retrieval failed at step {step}: {exc}") from exc
                 q_delta, v_delta = augmented.q_delta, augmented.v_delta
             try:
                 loss, _probs, grads = loss_and_grads(
-                    params, token_ids, objects, answer, q_delta, v_delta
+                    params, token_ids, objects, answer, q_delta, v_delta, encoded=(h_q, h_v)
                 )
             except NumericError as exc:
                 raise TrainingDiverged(f"non-finite loss at step {step}: {exc}") from exc
@@ -269,7 +270,7 @@ def train(
                 raise TrainingDiverged(f"non-finite loss at step {step}")
             losses.append(loss)
             try:
-                params = optimizer_step(params, grads, opt_config)
+                params = optimizer_step(params, grads, train_config.learning_rate)
             except NumericError as exc:
                 raise TrainingDiverged(f"non-finite update at step {step}: {exc}") from exc
 

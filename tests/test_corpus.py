@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ragvqa.benchmark import sample_primitives
@@ -19,6 +20,9 @@ from ragvqa.corpus import (
     parse_synth_config,
     save_corpus,
 )
+from ragvqa.model import build_vocabularies, corpus_accuracy, init_params
+from ragvqa.primdb import build_dq, build_dv
+from ragvqa.ragtrain import AggregationConfig, TrainConfig, train
 
 from conftest import SMALL_SYNTH
 
@@ -179,6 +183,37 @@ def test_build_corpus_skips_missing_scene_graph(tmp_path):
     corpus, report = load_corpus(q_path, sg_path, "train")
     assert [s.question.id for s in corpus.samples] == ["q1"]
     assert report.skipped_sample_ids == ["q2"]
+
+
+def test_load_corpus_skips_and_reports_unencodable_samples(tmp_path, small_pair, lexicon):
+    train_corpus, _ = small_pair
+    q_path, sg_path = tmp_path / "q.jsonl", tmp_path / "sg.json"
+    save_corpus(train_corpus, q_path, sg_path)
+    image_id = train_corpus.samples[0].question.image_id
+    with open(q_path, "a", encoding="utf-8") as fh:
+        for record in (
+            {"id": "no_tokens", "image_id": image_id, "question": "?!", "answer": "yes"},
+            {"id": "no_objects", "image_id": "empty", "question": "Is it red?", "answer": "no"},
+        ):
+            fh.write(json.dumps(record) + "\n")
+    graphs = json.loads(sg_path.read_text("utf-8"))
+    graphs["empty"] = {"objects": {}}
+    sg_path.write_text(json.dumps(graphs), "utf-8")
+
+    corpus, report = load_corpus(q_path, sg_path, "train")
+    assert report.skipped_sample_ids == ["no_tokens", "no_objects"]
+    assert any("'no_tokens'" in w and "no tokens" in w for w in report.warnings)
+    assert any("'no_objects'" in w and "no objects" in w for w in report.warnings)
+    assert corpus.samples == train_corpus.samples
+
+    vocabs = build_vocabularies(corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 6, 6, 0)
+    result = train(
+        corpus, build_dq(corpus, 8, 0, lexicon), build_dv(corpus, 8, 0), params, vocabs,
+        lexicon, TrainConfig(epochs=1), AggregationConfig(),
+    )
+    assert np.isfinite(result.metrics[0]["mean_loss"])
+    assert 0.0 <= corpus_accuracy(result.params, vocabs, corpus.samples) <= 1.0
 
 
 def test_answer_vocab_first_occurrence_order():

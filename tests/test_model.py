@@ -12,8 +12,8 @@ from ragvqa.model import (
     CHECKPOINT_VERSION,
     ModelError,
     NumericError,
-    OptimizerConfig,
     ParamSet,
+    answered_correctly,
     build_vocabularies,
     corpus_accuracy,
     cross_entropy,
@@ -334,7 +334,11 @@ def _reference_loss_and_grads(params, token_ids, objects, answer_index, q_delta,
     return cross_entropy(probs, answer_index), probs, grads
 
 
-@pytest.mark.parametrize("with_deltas", [False, True])
+@pytest.mark.parametrize(
+    "with_deltas, pre_encoded",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-encoded", "True-encoded"],
+)
 @pytest.mark.parametrize(
     "token_ids, objects",
     [
@@ -345,13 +349,26 @@ def _reference_loss_and_grads(params, token_ids, objects, answer_index, q_delta,
     ],
     ids=["repeated_tokens", "shared_object_ids", "single_token", "attributeless_object"],
 )
-def test_loss_and_grads_matches_per_token_reference(token_ids, objects, with_deltas):
+def test_loss_and_grads_matches_per_token_reference(token_ids, objects, with_deltas, pre_encoded):
     base = init_params(8, 6, 4, d=4, d_h=5, seed=7)
     params = ParamSet.from_flat(5.0 * base.flat, base.shapes)  # weights in +-0.5
     rng = np.random.default_rng(3)
     q_delta = 0.3 * rng.standard_normal((len(token_ids), 4)) if with_deltas else None
     v_delta = 0.3 * rng.standard_normal((len(objects), 4)) if with_deltas else None
-    loss, probs, grads = loss_and_grads(params, token_ids, objects, 2, q_delta, v_delta)
+    encoded = None
+    if pre_encoded:
+        encoded = encode_question(params, token_ids), encode_image(params, objects)
+    loss, probs, grads = loss_and_grads(
+        params, token_ids, objects, 2, q_delta, v_delta, encoded=encoded
+    )
+    if pre_encoded:
+        # the features the caller passes are the ones the encoders would make
+        own_loss, own_probs, own_grads = loss_and_grads(
+            params, token_ids, objects, 2, q_delta, v_delta
+        )
+        assert loss == own_loss
+        assert probs.tobytes() == own_probs.tobytes()
+        assert grads.flat.tobytes() == own_grads.flat.tobytes()
     want_loss, want_probs, want = _reference_loss_and_grads(
         params, token_ids, objects, 2, q_delta, v_delta
     )
@@ -394,14 +411,14 @@ def test_flat_round_trip():
 
 def test_optimizer_zero_gradients_no_change():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=0)
-    updated = optimizer_step(params, params.zeros_like(), OptimizerConfig(0.1))
+    updated = optimizer_step(params, params.zeros_like(), 0.1)
     assert np.array_equal(params.flat, updated.flat)
 
 
 def test_optimizer_zero_learning_rate_no_change():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=0)
     grads = ParamSet.from_flat(np.ones_like(params.flat), params.shapes)
-    updated = optimizer_step(params, grads, OptimizerConfig(0.0))
+    updated = optimizer_step(params, grads, 0.0)
     assert np.array_equal(params.flat, updated.flat)
 
 
@@ -410,7 +427,7 @@ def test_optimizer_single_coordinate_arithmetic():
     params.b2 = np.array([1.0, 0.0])
     grads = params.zeros_like()
     grads.b2 = np.array([0.5, 0.0])
-    updated = optimizer_step(params, grads, OptimizerConfig(0.1))
+    updated = optimizer_step(params, grads, 0.1)
     assert updated.b2[0] == pytest.approx(0.95, abs=1e-15)
     assert updated.flat[-2] == updated.b2[0]
 
@@ -421,7 +438,7 @@ def test_optimizer_step_leaves_inputs_unchanged():
         np.random.default_rng(0).standard_normal(params.flat.size), params.shapes
     )
     params_before, grads_before = params.flat.tobytes(), grads.flat.tobytes()
-    updated = optimizer_step(params, grads, OptimizerConfig(0.1))
+    updated = optimizer_step(params, grads, 0.1)
     assert params.flat.tobytes() == params_before
     assert grads.flat.tobytes() == grads_before
     assert not np.shares_memory(updated.flat, params.flat)
@@ -433,7 +450,7 @@ def test_optimizer_nonfinite_update_errors():
     grads = params.zeros_like()
     grads.b2 = np.array([np.inf, 0.0])
     with pytest.raises(NumericError):
-        optimizer_step(params, grads, OptimizerConfig(0.1))
+        optimizer_step(params, grads, 0.1)
 
 
 # -- vocabularies and prediction -------------------------------------------------
@@ -468,6 +485,29 @@ def test_corpus_accuracy_unknown_answer_counts_wrong():
     params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 4, 4, 0)
     val_sample = make_sample("Is the dog black?", [("dog", set())], "maybe", "q9", "i9")
     assert corpus_accuracy(params, vocabs, [val_sample]) == 0.0
+
+
+def test_answered_correctly_is_per_sample_exact_match(monkeypatch):
+    corpus = make_corpus(
+        [
+            make_sample("Is the dog black?", [("dog", set())], "no", "q1", "i1"),
+            make_sample("Is the cat white?", [("cat", set())], "yes", "q2", "i2"),
+        ]
+    )
+    vocabs = build_vocabularies(corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 4, 4, 0)
+    unknown = make_sample("Is the dog black?", [("dog", set())], "maybe", "q9", "i9")
+    predicted = []
+
+    def always_no(params, vocabs, sample):
+        predicted.append(sample.question.id)
+        return "no"
+
+    monkeypatch.setattr("ragvqa.model.predict_answer", always_no)
+    samples = [*corpus.samples, unknown]
+    assert answered_correctly(params, vocabs, samples) == [True, False, False]
+    assert predicted == ["q1", "q2"]  # an unknown ground truth needs no prediction
+    assert corpus_accuracy(params, vocabs, samples) == 1 / 3
 
 
 def test_init_params_deterministic():
@@ -554,6 +594,20 @@ def test_checkpoint_malformed_sidecar(tmp_path, sidecar):
     path = _saved_checkpoint(tmp_path)
     path.with_suffix(".bin.json").write_text(json.dumps(sidecar), "utf-8")
     with pytest.raises(ModelError, match="sidecar"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field_name", ["words", "labels"])
+@pytest.mark.parametrize("bad_id", [1000000, -1, "duplicate"])
+def test_checkpoint_sidecar_ids_must_be_the_rows(tmp_path, field_name, bad_id):
+    path = _saved_checkpoint(tmp_path)
+    sidecar_path = path.with_suffix(".bin.json")
+    sidecar = json.loads(sidecar_path.read_text("utf-8"))
+    ids = sidecar[field_name]
+    last = max(ids, key=ids.get)
+    ids[last] = 0 if bad_id == "duplicate" else bad_id
+    sidecar_path.write_text(json.dumps(sidecar), "utf-8")
+    with pytest.raises(ModelError, match=f"sidecar {field_name} ids"):
         load_checkpoint(path)
 
 

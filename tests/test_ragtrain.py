@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,11 +199,20 @@ def _training_setup(lexicon, seed=0):
     return corpus, vocabs, params, db_q, db_v, index_q, index_v
 
 
+def _encoded(sample, params, vocabs, lexicon):
+    """(h_q, h_v, primitive positions) of ``sample``, as ``train`` derives them."""
+    h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
+    h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
+    positions = [occ.position for occ in extract_linguistic(sample.question, lexicon)[1]]
+    return h_q, h_v, positions
+
+
 def test_augment_zero_weights_matches_plain_encoders(lexicon):
     corpus, vocabs, params, _, _, index_q, index_v = _training_setup(lexicon)
     sample = corpus.samples[0]
     config = AggregationConfig(w_q=0.0, w_v=0.0, k_q=2, k_v=2)
-    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
+    h_q, h_v, positions = _encoded(sample, params, vocabs, lexicon)
+    augmented = augment_sample(sample, h_q, h_v, positions, index_q, index_v, config)
     assert augmented.q_delta is None
     assert augmented.v_delta is None
 
@@ -210,10 +221,11 @@ def test_augment_retrieval_round_count(lexicon):
     corpus, vocabs, params, _, _, index_q, index_v = _training_setup(lexicon)
     sample = corpus.samples[0]  # "Is the dog black?": 3 open-class tokens, 1 object
     config = AggregationConfig(k_q=2, k_v=2)
-    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
+    h_q, h_v, positions = _encoded(sample, params, vocabs, lexicon)
+    augmented = augment_sample(sample, h_q, h_v, positions, index_q, index_v, config)
     assert augmented.retrieval_rounds == (3 + 1) * 2
 
-    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, None, config)
+    augmented = augment_sample(sample, h_q, h_v, positions, index_q, None, config)
     assert augmented.retrieval_rounds == (3 + 1) * 1
 
 
@@ -221,7 +233,8 @@ def test_augment_nonzero_weights_produce_deltas(lexicon):
     corpus, vocabs, params, _, _, index_q, index_v = _training_setup(lexicon)
     sample = corpus.samples[0]
     config = AggregationConfig(k_q=2, k_v=2)
-    augmented = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
+    h_q, h_v, positions = _encoded(sample, params, vocabs, lexicon)
+    augmented = augment_sample(sample, h_q, h_v, positions, index_q, index_v, config)
     assert augmented.q_delta is not None and augmented.q_delta.any()
     assert augmented.v_delta is not None and augmented.v_delta.any()
     # function-word positions ("is" is open-class "be"; "the" is not) pass through
@@ -235,14 +248,15 @@ def test_augment_changes_exactly_the_extracted_positions(lexicon):
     assert "quietly" not in lexicon.pos_table and "jumping" not in lexicon.pos_table
     index_q = encode_index(db_q, params, vocabs, corpus, 1)
     index_v = encode_index(db_v, params, vocabs, corpus, 1)
+    h_q, h_v, positions = _encoded(sample, params, vocabs, lexicon)
     augmented = augment_sample(
-        sample, params, vocabs, lexicon, index_q, index_v, AggregationConfig(k_q=2, k_v=2)
+        sample, h_q, h_v, positions, index_q, index_v, AggregationConfig(k_q=2, k_v=2)
     )
     _, occurrences = extract_linguistic(sample.question, lexicon)
-    positions = {occ.position for occ in occurrences}
-    assert {3, 4} <= positions and 1 not in positions  # "the" is closed-class
+    extracted = {occ.position for occ in occurrences}
+    assert {3, 4} <= extracted and 1 not in extracted  # "the" is closed-class
     changed = {i for i, row in enumerate(augmented.q_delta) if row.any()}
-    assert changed == positions
+    assert changed == extracted
 
 
 @pytest.mark.parametrize("mode", ["weighted_feature", "scalar_broadcast"])
@@ -265,14 +279,13 @@ def test_augment_matches_per_primitive_reference(lexicon, small_pair, mode, use_
             r_v = retrieve(p, index_v, config.k_v, image_id) if index_v else None
             return aggregate(p, r_q, r_v, config) - p
 
-        h_q = encode_question(params, question_token_ids(vocabs, sample.question.text))
-        h_v = encode_image(params, scene_object_ids(vocabs, sample.scene_graph))
+        h_q, h_v, positions = _encoded(sample, params, vocabs, lexicon)
         want_q = np.zeros_like(h_q)
         for occ in extract_linguistic(sample.question, lexicon)[1]:
             want_q[occ.position] = reference(h_q[occ.position])
         want_v = np.array([reference(p) for p in h_v])
 
-        got = augment_sample(sample, params, vocabs, lexicon, index_q, index_v, config)
+        got = augment_sample(sample, h_q, h_v, positions, index_q, index_v, config)
         assert got.q_delta is not None and got.v_delta is not None
         assert np.allclose(got.q_delta, want_q, rtol=0.0, atol=1e-12)
         assert np.allclose(got.v_delta, want_v, rtol=0.0, atol=1e-12)
@@ -325,6 +338,46 @@ def test_train_ignores_a_disabled_database_it_is_given(lexicon, monkeypatch):
     for a, b in zip(given_dv.params.arrays(), without_dv.params.arrays()):
         assert np.array_equal(a, b)
     assert given_dv.metrics == without_dv.metrics
+
+
+def _count_calls(monkeypatch, functions):
+    """Swap each function for a counting wrapper at every ragvqa module
+    binding that holds it; returns the live name -> call count map."""
+    calls = dict.fromkeys((f.__name__ for f in functions), 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("ragvqa") and m]
+    for function in functions:
+
+        def counting(*args, _function=function, **kwargs):
+            calls[_function.__name__] += 1
+            return _function(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("retrieval", [False, True])
+def test_train_encodes_each_step_once(lexicon, monkeypatch, retrieval):
+    corpus, vocabs, params, db_q, db_v, _, _ = _training_setup(lexicon)
+    agg = AggregationConfig(k_q=2, k_v=2, refresh_every=2) if retrieval else None
+    epochs, snapshots = 3, 2 if retrieval else 0
+    calls = _count_calls(monkeypatch, (encode_question, encode_image, extract_linguistic))
+    train(
+        corpus, db_q, db_v, params, vocabs, lexicon,
+        TrainConfig(epochs=epochs, learning_rate=0.1), agg,
+    )
+
+    def distinct_sources(db):
+        return len({source for contexts in db.entries.values() for source, _ in contexts})
+
+    steps = epochs * len(corpus.samples)
+    assert calls == {
+        "encode_question": steps + snapshots * distinct_sources(db_q),
+        "encode_image": steps + snapshots * distinct_sources(db_v),
+        "extract_linguistic": len(corpus.samples) if retrieval else 0,
+    }
 
 
 def test_train_learning_progress(lexicon, small_pair):
