@@ -39,18 +39,21 @@ def _write_corpus(split_corpus, directory: Path) -> None:
 
 
 def _load_corpora(data_dir: Path):
-    train, _ = corpus_mod.load_corpus(
-        data_dir / "train" / "questions.jsonl",
-        data_dir / "train" / "scene_graphs.json",
-        "train",
-    )
-    val, _ = corpus_mod.load_corpus(
-        data_dir / "val" / "questions.jsonl",
-        data_dir / "val" / "scene_graphs.json",
-        "val",
-        answer_vocab=train.answer_vocab,
-    )
-    return train, val
+    """(train, val, {split: records skipped at ingest}). Each split's skip
+    count and first five skips, with their reasons, go to stderr."""
+    loaded, skipped = {}, {}
+    for split in ("train", "val"):
+        loaded[split], report = corpus_mod.load_corpus(
+            data_dir / split / "questions.jsonl",
+            data_dir / split / "scene_graphs.json",
+            split,
+            answer_vocab=loaded["train"].answer_vocab if loaded else None,
+        )
+        skipped[split] = len(report.skipped_sample_ids)
+        if skipped[split]:
+            print(f"{split}: ingest skipped {skipped[split]} record(s)", *report.warnings[:5],
+                  sep="\n  ", file=sys.stderr)
+    return loaded["train"], loaded["val"], skipped
 
 
 def _lexicon(args):
@@ -72,16 +75,16 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_build_benchmark(args) -> int:
-    train, val = _load_corpora(Path(args.data))
+    train, val, skipped = _load_corpora(Path(args.data))
     lexicon = _lexicon(args)
     signature = benchmark.train_signature(train, lexicon)
-    candidates, skipped = benchmark.filter_candidates(val, signature, lexicon)
+    candidates, _ = benchmark.filter_candidates(val, signature, lexicon)
     splits, warnings = benchmark.build_splits(candidates, args.n_per_split, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     benchmark.write_splits(splits, candidates, out / "splits.jsonl")
     stats = benchmark.split_stats(splits, candidates)
-    stats["skipped_no_scene_objects"] = skipped
+    stats["ingest_skipped"] = skipped
     stats["shortfall_warnings"] = warnings
     (out / "report.json").write_text(json.dumps(stats, indent=1, sort_keys=True), "utf-8")
     print(f"{len(candidates)} candidates -> {stats['total']} split samples "
@@ -117,7 +120,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_train(args) -> int:
     exp = _experiment_config(args)
-    train_corpus, val_corpus = _load_corpora(Path(args.data))
+    train_corpus, val_corpus, _ = _load_corpora(Path(args.data))
     lexicon = _lexicon(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,7 +139,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, vocabs = model.load_checkpoint(args.checkpoint)
-    _train_corpus, val_corpus = _load_corpora(Path(args.data))
+    _train_corpus, val_corpus, _ = _load_corpora(Path(args.data))
     splits = benchmark.read_splits(args.splits)
     fingerprint = evaluation.config_fingerprint({"checkpoint": str(args.checkpoint)})
     report = evaluation.evaluate(params, vocabs, splits, val_corpus, fingerprint)
@@ -149,7 +152,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     exp = _experiment_config(args)
-    train_corpus, val_corpus = _load_corpora(Path(args.data))
+    train_corpus, val_corpus, _ = _load_corpora(Path(args.data))
     splits = benchmark.read_splits(args.splits)
     lexicon = _lexicon(args)
     seeds = args.seeds or [exp.training.seed]
@@ -217,7 +220,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_verify_splits(args) -> int:
-    train_corpus, val_corpus = _load_corpora(Path(args.data))
+    train_corpus, val_corpus, _ = _load_corpora(Path(args.data))
     splits = benchmark.read_splits(args.splits)
     report = benchmark.verify_splits(splits, train_corpus, val_corpus, _lexicon(args))
     if report.ok:

@@ -82,9 +82,21 @@ class SceneGraph:
 
 @dataclass(frozen=True)
 class Sample:
+    """A question joined with its image's scene graph. It is the one owner of
+    the encodable-sample rule: at least one object and one question token."""
+
     question: Question
     scene_graph: SceneGraph
     answer: str
+
+    def __post_init__(self) -> None:
+        if not self.scene_graph.objects:
+            raise CorpusError(
+                f"question {self.question.id!r}: "
+                f"image {self.scene_graph.image_id!r} has no objects"
+            )
+        if not tokenize(self.question.text):
+            raise CorpusError(f"question {self.question.id!r}: the question has no tokens")
 
 
 @dataclass(frozen=True)
@@ -164,18 +176,17 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def load_scene_graphs(path: str | Path) -> tuple[list[SceneGraph], list[str]]:
-    """Read the scene-graph map; returns (graphs, warnings).
+def load_scene_graphs(path: str | Path) -> list[SceneGraph]:
+    """Read the scene-graph map.
 
     Attribute strings are lowercased and deduplicated; objects are ordered
-    by object_id. An image with zero objects is kept but produces a warning.
-    The file, each image entry, its ``objects`` and each object must be JSON
-    objects, and the name and each attribute strings.
+    by object_id. An image with zero objects is kept (``build_corpus`` skips
+    its questions). The file, each image entry, its ``objects`` and each
+    object must be JSON objects, and the name and each attribute strings.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     graphs: list[SceneGraph] = []
-    warnings: list[str] = []
     for image_id, entry in _require(raw, dict, "scene-graph file").items():
         entry = _require(entry, dict, f"image {image_id!r}")
         specs = _require(entry.get("objects", {}), dict, f"image {image_id!r}: objects")
@@ -191,10 +202,8 @@ def load_scene_graphs(path: str | Path) -> tuple[list[SceneGraph], list[str]]:
                 for a in _require(spec.get("attributes", []), list, f"{where}: attributes")
             )
             objects.append(ObjectInstance(object_id, name.lower(), attributes))
-        if not objects:
-            warnings.append(f"image {image_id!r} has no objects")
         graphs.append(SceneGraph(image_id=image_id, objects=tuple(objects)))
-    return graphs, warnings
+    return graphs
 
 
 def build_corpus(
@@ -207,9 +216,8 @@ def build_corpus(
 
     ``answer_vocab`` comes from the train split; for the train split itself
     pass None and the vocabulary is the deduplicated answers in file order.
-    A sample the model cannot encode is skipped, and its id and the reason
-    go into the report: its image has no scene graph or no objects, or its
-    question has no tokens.
+    A record whose image has no scene graph, or that ``Sample`` rejects, is
+    skipped, and its id and the reason go into the report.
     """
     graph_by_image: dict[str, SceneGraph] = {}
     for graph in scene_graphs:
@@ -220,18 +228,16 @@ def build_corpus(
     report = IngestReport()
     samples: list[Sample] = []
     for record in records:
-        graph = graph_by_image.get(record.question.image_id)
-        if graph is None:
-            reason = f"no scene graph for image {record.question.image_id!r}"
-        elif not graph.objects:
-            reason = f"image {record.question.image_id!r} has no objects"
-        elif not tokenize(record.question.text):
-            reason = "the question has no tokens"
-        else:
-            samples.append(Sample(record.question, graph, record.answer))
-            continue
-        report.skipped_sample_ids.append(record.question.id)
-        report.warnings.append(f"question {record.question.id!r}: {reason}; sample skipped")
+        question = record.question
+        graph = graph_by_image.get(question.image_id)
+        try:
+            if graph is None:
+                raise CorpusError(f"question {question.id!r}: no scene graph for image "
+                                  f"{question.image_id!r}")
+            samples.append(Sample(question, graph, record.answer))
+        except CorpusError as exc:
+            report.skipped_sample_ids.append(question.id)
+            report.warnings.append(f"{exc}; sample skipped")
 
     if answer_vocab is None:
         vocab = tuple(dict.fromkeys(s.answer for s in samples))
@@ -247,10 +253,7 @@ def load_corpus(
     answer_vocab: Sequence[str] | None = None,
 ) -> tuple[Corpus, IngestReport]:
     records = load_questions(questions_path)
-    graphs, warnings = load_scene_graphs(scene_graphs_path)
-    corpus, report = build_corpus(records, graphs, split_tag, answer_vocab)
-    report.warnings = warnings + report.warnings
-    return corpus, report
+    return build_corpus(records, load_scene_graphs(scene_graphs_path), split_tag, answer_vocab)
 
 
 def save_corpus(corpus: Corpus, questions_path: str | Path, scene_graphs_path: str | Path) -> None:

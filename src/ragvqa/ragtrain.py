@@ -266,8 +266,6 @@ def train(
                 )
             except NumericError as exc:
                 raise TrainingDiverged(f"non-finite loss at step {step}: {exc}") from exc
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at step {step}")
             losses.append(loss)
             try:
                 params = optimizer_step(params, grads, train_config.learning_rate)

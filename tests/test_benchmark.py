@@ -17,7 +17,7 @@ from ragvqa.benchmark import (
     verify_splits,
     write_splits,
 )
-from ragvqa.corpus import Corpus
+from ragvqa.corpus import Corpus, CorpusError
 from ragvqa.primitives import Modality, PartOfSpeech, Primitive, primitive_key
 
 from conftest import make_corpus, make_sample
@@ -144,12 +144,10 @@ def test_filter_admits_novel_composition(lexicon):
     assert classify(candidates[0]) == "LL+LV"
 
 
-def test_filter_skips_empty_scene_graphs(lexicon):
-    _, sig = _toy_world(lexicon)
-    val = make_corpus([make_sample("the dog?", [], "yes", "v1", "vi1")], "val")
-    candidates, skipped = filter_candidates(val, sig, lexicon)
-    assert candidates == []
-    assert skipped == 1
+def test_objectless_sample_never_reaches_filter():
+    # the constructor rejects it, so no corpus handed to filter_candidates holds one
+    with pytest.raises(CorpusError, match="'v1'.*no objects"):
+        make_sample("the dog?", [], "yes", "v1", "vi1")
 
 
 def test_filter_is_complete_against_brute_force(lexicon, small_pair):
@@ -173,7 +171,7 @@ def test_filter_is_complete_against_brute_force(lexicon, small_pair):
     for sample in val_corpus.samples:
         keys = keyed(sample)
         novel = pairs(keys) - seen_pairs
-        if sample.scene_graph.objects and keys <= seen_keys and novel:
+        if keys <= seen_keys and novel:
             types = {pair_type[tuple(sorted({k[0] for k in pair}))] for pair in novel}
             expected[sample.question.id] = (frozenset(types), len(novel))
 
@@ -307,6 +305,44 @@ def test_verify_splits_catches_duplicates(lexicon, small_pair):
     tampered["VV"].append(tampered["LL"][0])
     report = verify_splits(tampered, train_corpus, val_corpus, lexicon)
     assert any("both" in failure for failure in report.failures)
+
+
+def test_verify_splits_names_a_swapped_in_sample_with_only_seen_compositions(
+    lexicon, small_pair
+):
+    train_corpus, val_corpus, _, splits = _built_world(lexicon, small_pair)
+    sig = train_signature(train_corpus, lexicon)
+    seen_only = next(
+        s.question.id
+        for s in val_corpus.samples
+        if sample_primitives(s, lexicon) <= sig.primitive_set
+        and compositions_of(sample_primitives(s, lexicon)) <= sig.compositions
+    )
+    tampered = {label: list(ids) for label, ids in splits.items()}
+    tampered["LL"][0] = seen_only
+    report = verify_splits(tampered, train_corpus, val_corpus, lexicon)
+    assert report.failures == [f"{seen_only}: no novel composition"]
+
+
+def test_verify_splits_names_a_sample_moved_to_a_wrong_split(lexicon, small_pair):
+    train_corpus, val_corpus, _, splits = _built_world(lexicon, small_pair)
+    tampered = {label: list(ids) for label, ids in splits.items()}
+    moved = tampered["VV"].pop()
+    tampered["LL+VV+LV"].append(moved)
+    report = verify_splits(tampered, train_corpus, val_corpus, lexicon)
+    assert report.failures == [f"{moved}: label LL+VV+LV but brute-force gives VV"]
+
+
+def test_verify_splits_names_a_sample_put_in_two_splits(lexicon, small_pair):
+    train_corpus, val_corpus, _, splits = _built_world(lexicon, small_pair)
+    tampered = {label: list(ids) for label, ids in splits.items()}
+    twice = tampered["LV"][0]
+    tampered["VV"].append(twice)
+    report = verify_splits(tampered, train_corpus, val_corpus, lexicon)
+    assert report.failures == [
+        f"{twice}: appears in both VV and LV",  # splits are read in label order
+        f"{twice}: label VV but brute-force gives LV",
+    ]
 
 
 def test_verify_splits_catches_unknown_sample(lexicon, small_pair):

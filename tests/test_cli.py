@@ -1,5 +1,7 @@
 import csv
 import json
+import shutil
+from importlib import resources
 
 import pytest
 
@@ -47,6 +49,78 @@ def test_build_benchmark_writes_splits_and_report(workspace):
     assert set(report["per_split"]) == {
         "LL", "VV", "LV", "LL+VV", "LL+LV", "VV+LV", "LL+VV+LV"
     }
+    assert report["ingest_skipped"] == {"train": 0, "val": 0}
+
+
+def test_ingest_skips_are_reported_on_stderr_and_in_report(workspace, tmp_path, capsys):
+    data = shutil.copytree(workspace / "data", tmp_path / "data")
+    train_image = json.loads(
+        (data / "train" / "questions.jsonl").read_text("utf-8").splitlines()[0]
+    )["image_id"]
+    with open(data / "train" / "questions.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(
+            {"id": "bad_train", "image_id": train_image, "question": "?!", "answer": "yes"}
+        ) + "\n")
+    with open(data / "val" / "questions.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(
+            {"id": "bad_val", "image_id": "empty", "question": "Is it red?", "answer": "no"}
+        ) + "\n")
+    graphs = json.loads((data / "val" / "scene_graphs.json").read_text("utf-8"))
+    graphs["empty"] = {"objects": {}}
+    (data / "val" / "scene_graphs.json").write_text(json.dumps(graphs), "utf-8")
+    capsys.readouterr()
+
+    bench = tmp_path / "bench"
+    assert main([
+        "build-benchmark", "--data", str(data), "--n-per-split", "15", "--out", str(bench),
+    ]) == 0
+    err = capsys.readouterr().err
+    assert "train: ingest skipped 1 record(s)" in err
+    assert "question 'bad_train': the question has no tokens" in err
+    assert "val: ingest skipped 1 record(s)" in err
+    assert "question 'bad_val': image 'empty' has no objects" in err
+    report = json.loads((bench / "report.json").read_text("utf-8"))
+    assert report["ingest_skipped"] == {"train": 1, "val": 1}
+    assert (bench / "splits.jsonl").read_bytes() == (
+        workspace / "bench" / "splits.jsonl"
+    ).read_bytes()
+
+    run = tmp_path / "run"
+    assert main([
+        "train", "--data", str(data), "--out", str(run), "--epochs", "1", "--no-retrieval",
+    ]) == 0
+    err = capsys.readouterr().err
+    assert "train: ingest skipped 1 record(s)" in err and "'bad_train'" in err
+
+
+def test_lexicon_file_round_trips_through_build_benchmark_and_train(workspace, tmp_path):
+    shipped = json.loads(
+        resources.files("ragvqa.data").joinpath("lexicon.json").read_text("utf-8")
+    )
+    # color words as closed-class: no linguistic color primitives
+    colorless = {**shipped, "pos": {**shipped["pos"], "white": "other", "black": "other",
+                                    "red": "other"}}
+    outputs = {}
+    for name, lexicon in (("default", None), ("shipped", shipped), ("colorless", colorless)):
+        flags = []
+        if lexicon is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(lexicon), "utf-8")
+            flags = ["--lexicon", str(path)]
+        bench, run = tmp_path / f"bench-{name}", tmp_path / f"run-{name}"
+        assert main([
+            "build-benchmark", "--data", str(workspace / "data"), "--n-per-split", "15",
+            "--out", str(bench), *flags,
+        ]) == 0
+        assert main([
+            "train", "--data", str(workspace / "data"), "--out", str(run), "--epochs", "1",
+            *flags,
+        ]) == 0
+        outputs[name] = [(bench / "splits.jsonl").read_bytes(),
+                         (run / "metrics.jsonl").read_bytes()]
+    assert outputs["shipped"] == outputs["default"]
+    assert outputs["colorless"][0] != outputs["default"][0]
+    assert outputs["colorless"][1] != outputs["default"][1]
 
 
 def test_verify_splits_passes_on_built_benchmark(workspace, capsys):

@@ -2,15 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ragvqa.benchmark import sample_primitives
 from ragvqa.corpus import (
     ConfigurationError,
+    CorpusError,
     IngestionError,
+    SceneGraph,
     SynthConfig,
     build_corpus,
     generate_synthetic,
@@ -24,7 +28,7 @@ from ragvqa.model import build_vocabularies, corpus_accuracy, init_params
 from ragvqa.primdb import build_dq, build_dv
 from ragvqa.ragtrain import AggregationConfig, TrainConfig, train
 
-from conftest import SMALL_SYNTH
+from conftest import SMALL_SYNTH, make_sample
 
 
 # -- load_questions -----------------------------------------------------------
@@ -124,20 +128,17 @@ def test_load_scene_graphs_lowercases_and_dedupes(tmp_path):
         json.dumps({"i1": {"objects": {"o1": {"name": "dog", "attributes": ["White", "white"]}}}}),
         encoding="utf-8",
     )
-    graphs, warnings = load_scene_graphs(path)
-    assert warnings == []
-    (graph,) = graphs
+    (graph,) = load_scene_graphs(path)
     assert graph.image_id == "i1"
     assert graph.objects[0].category == "dog"
     assert graph.objects[0].attributes == frozenset({"white"})
 
 
-def test_load_scene_graphs_empty_image_warns(tmp_path):
+def test_load_scene_graphs_keeps_empty_image(tmp_path):
+    # build_corpus, not the loader, skips the questions about this image
     path = tmp_path / "sg.json"
     path.write_text(json.dumps({"i1": {"objects": {}}}), encoding="utf-8")
-    graphs, warnings = load_scene_graphs(path)
-    assert graphs[0].objects == ()
-    assert any("i1" in w for w in warnings)
+    assert load_scene_graphs(path) == [SceneGraph("i1", ())]
 
 
 def test_load_scene_graphs_missing_category(tmp_path):
@@ -163,8 +164,8 @@ def test_load_scene_graphs_orders_objects_by_id(tmp_path):
         json.dumps({"i1": {"objects": {"o2": {"name": "cat"}, "o1": {"name": "dog"}}}}),
         encoding="utf-8",
     )
-    graphs, _ = load_scene_graphs(path)
-    assert [o.object_id for o in graphs[0].objects] == ["o1", "o2"]
+    (graph,) = load_scene_graphs(path)
+    assert [o.object_id for o in graph.objects] == ["o1", "o2"]
 
 
 # -- build_corpus ---------------------------------------------------------------
@@ -228,6 +229,75 @@ def test_answer_vocab_first_occurrence_order():
     records = [QuestionRecord(s.question, s.answer) for s in samples]
     corpus, _ = build_corpus(records, [s.scene_graph for s in samples], "train")
     assert corpus.answer_vocab == ("no", "yes")
+
+
+# -- the encodable-sample rule -------------------------------------------------
+
+
+def test_sample_rejects_an_objectless_scene_graph():
+    with pytest.raises(CorpusError, match="'q7'.*no objects"):
+        make_sample("Is the dog red?", [], "no", qid="q7")
+
+
+@pytest.mark.parametrize("text", ["?!", " ", "..."])
+def test_sample_rejects_a_question_without_tokens(text):
+    with pytest.raises(CorpusError, match="'q7'.*no tokens"):
+        make_sample(text, [("dog", set())], "no", qid="q7")
+
+
+_RECORD_KINDS = ("good", "no_tokens", "no_objects", "no_graph", "no_tokens_no_objects")
+_words = st.sampled_from(["is", "the", "dog", "red", "how", "many", "cats", "white", "there"])
+_record = st.tuples(
+    st.sampled_from(_RECORD_KINDS),
+    st.lists(_words, min_size=1, max_size=5).map(lambda ws: " ".join(ws) + "?"),
+    st.text(alphabet="?!.,;- ", min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.sampled_from(["dog", "cat", "car"]), st.sets(st.sampled_from(["red", "big"]))),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from(["yes", "no", "2"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_record, max_size=8))
+def test_ingest_keeps_exactly_the_encodable_records(records):
+    """Any mix of good and degenerate records loads to exactly the good
+    samples, with one skipped id per bad record, and the result round-trips."""
+    questions, graphs, good, bad = [], {}, [], []
+    for i, (kind, text, tokenless, objects, answer) in enumerate(records):
+        qid, image_id = f"q{i}", f"i{i}"
+        if "no_tokens" in kind:
+            text = tokenless
+        if "no_objects" in kind:
+            objects = []
+        if kind != "no_graph":
+            graphs[image_id] = {
+                "objects": {
+                    f"o{j}": {"name": cat, "attributes": sorted(attrs)}
+                    for j, (cat, attrs) in enumerate(objects)
+                }
+            }
+        questions.append({"id": qid, "image_id": image_id, "question": text, "answer": answer})
+        if kind == "good":
+            good.append(make_sample(text, objects, answer, qid, image_id))
+        else:
+            bad.append(qid)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        q_path, sg_path = Path(tmp) / "q.jsonl", Path(tmp) / "sg.json"
+        _write(q_path, [json.dumps(q) for q in questions])
+        sg_path.write_text(json.dumps(graphs), "utf-8")
+        corpus, report = load_corpus(q_path, sg_path, "train")
+        assert list(corpus.samples) == good
+        assert report.skipped_sample_ids == bad
+        assert len(report.warnings) == len(bad)
+
+        save_corpus(corpus, q_path, sg_path)
+        reloaded, report = load_corpus(q_path, sg_path, "train")
+        assert reloaded == corpus
+        assert report.skipped_sample_ids == []
 
 
 # -- synthetic generation ----------------------------------------------------

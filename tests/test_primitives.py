@@ -3,6 +3,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from ragvqa.corpus import SceneGraph
 from ragvqa.primitives import (
     Lexicon,
     Modality,
@@ -184,8 +185,7 @@ def test_extract_visual_duplicate_category():
 
 
 def test_extract_visual_empty():
-    sample = make_sample("x?", [], "no")
-    prims, occs = extract_visual(sample.scene_graph)
+    prims, occs = extract_visual(SceneGraph("i1", ()))
     assert prims == set()
     assert occs == []
 

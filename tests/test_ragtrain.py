@@ -456,6 +456,19 @@ def test_train_with_retrieval_divergence_aborts_with_step(lexicon):
         )
 
 
+def test_train_overflowing_update_aborts_with_step(lexicon):
+    corpus, vocabs, params, _, _, _, _ = _training_setup(lexicon)
+    # finite logits, but the first step's b2 update overflows to inf
+    params.b2 = np.full(params.b2.shape, 1.5e308)
+    with np.errstate(over="ignore"), pytest.raises(
+        TrainingDiverged, match="non-finite update at step 1:"
+    ):
+        train(
+            corpus, None, None, params, vocabs, lexicon,
+            TrainConfig(epochs=1, learning_rate=1e308), None,
+        )
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
