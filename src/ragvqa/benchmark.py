@@ -3,9 +3,10 @@ against the train split, seven-way classification by the modality mix of
 novel compositions, and per-split sampling.
 
 A composition is an unordered pair of two distinct primitives co-occurring
-in one sample (over the union of its linguistic and visual primitives). A
-test candidate must use only train-split primitives and contain at least one
-composition never seen in any train sample.
+in one sample (over the union of its linguistic and visual primitives),
+held as the two primitives' keys in sorted order. A test candidate must use
+only train-split primitives and contain at least one composition never seen
+in any train sample.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 from .corpus import Corpus, Sample
 from .primitives import (
@@ -31,6 +32,7 @@ from .primitives import (
 __all__ = [
     "BenchmarkError",
     "Composition",
+    "composition_type",
     "SPLIT_LABELS",
     "LEVELS",
     "TrainSignature",
@@ -58,27 +60,16 @@ class BenchmarkError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An unordered pair of two distinct primitives, stored canonically."""
+Composition = tuple[tuple[str, str, str], tuple[str, str, str]]
+"""Two distinct primitives' keys (``primitive_key``), in sorted order."""
 
-    pair: tuple[Primitive, Primitive]
 
-    @classmethod
-    def of(cls, p1: Primitive, p2: Primitive) -> "Composition":
-        if p1 == p2:
-            raise BenchmarkError("a composition needs two distinct primitives")
-        ordered = tuple(sorted((p1, p2), key=primitive_key))
-        return cls(pair=ordered)  # type: ignore[arg-type]
-
-    @property
-    def comp_type(self) -> str:
-        modalities = {p.modality for p in self.pair}
-        if modalities == {Modality.LINGUISTIC}:
-            return "LL"
-        if modalities == {Modality.VISUAL}:
-            return "VV"
+def composition_type(pair: Composition) -> str:
+    """LL, VV or LV, from the modality fields of the pair's two keys."""
+    first, second = pair[0][0], pair[1][0]
+    if first != second:
         return "LV"
+    return "LL" if first == Modality.LINGUISTIC.value else "VV"
 
 
 def sample_primitives(sample: Sample, lexicon: Lexicon) -> set[Primitive]:
@@ -88,10 +79,11 @@ def sample_primitives(sample: Sample, lexicon: Lexicon) -> set[Primitive]:
     return ling | vis
 
 
-def compositions_of(primitives: Iterable[Primitive]) -> set[Composition]:
-    """All unordered pairs over one sample's primitive union."""
-    ordered = sorted(primitives, key=primitive_key)
-    return {Composition.of(p1, p2) for p1, p2 in combinations(ordered, 2)}
+def compositions_of(primitives: AbstractSet[Primitive]) -> set[Composition]:
+    """All unordered pairs over one sample's primitive union.  The input is a
+    set, so no pair holds one primitive twice; ``combinations`` over the
+    sorted keys yields each pair already in sorted order."""
+    return set(combinations(sorted(map(primitive_key, primitives)), 2))
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ def filter_candidates(
         novel = compositions_of(primitives) - signature.compositions
         if not novel:
             continue
-        types = frozenset(c.comp_type for c in novel)
+        types = frozenset(map(composition_type, novel))
         candidates.append(Candidate(sample, types, len(novel)))
     return candidates, 0
 
@@ -222,8 +214,8 @@ def verify_splits(
     val_corpus: Corpus,
     lexicon: Lexicon,
 ) -> VerificationReport:
-    """Re-derive every emitted test sample from scratch, with plain
-    primitive-key pairs instead of the builder's ``Composition`` path.
+    """Re-derive every emitted test sample from scratch, independently of
+    the builder: unordered pairs over every ordering of primitive keys.
 
     Checks, per sample: all primitives appear in the train split, at least
     one composition is unseen, and the split label equals the brute-force

@@ -49,10 +49,11 @@ def _load_corpora(data_dir: Path):
             split,
             answer_vocab=loaded["train"].answer_vocab if loaded else None,
         )
-        skipped[split] = len(report.skipped_sample_ids)
+        skipped[split] = len(report.skipped)
         if skipped[split]:
-            print(f"{split}: ingest skipped {skipped[split]} record(s)", *report.warnings[:5],
-                  sep="\n  ", file=sys.stderr)
+            reasons = list(report.skipped.values())[:5]
+            print(f"{split}: ingest skipped {skipped[split]} record(s)",
+                  *(f"{reason}; sample skipped" for reason in reasons), sep="\n  ", file=sys.stderr)
     return loaded["train"], loaded["val"], skipped
 
 

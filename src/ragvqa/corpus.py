@@ -117,8 +117,7 @@ class QuestionRecord:
 
 @dataclass
 class IngestReport:
-    warnings: list[str] = field(default_factory=list)
-    skipped_sample_ids: list[str] = field(default_factory=list)
+    skipped: dict[str, str] = field(default_factory=dict)  # sample id -> reason, in ingest order
 
 
 _REQUIRED_FIELDS = ("id", "image_id", "question", "answer")
@@ -236,8 +235,7 @@ def build_corpus(
                                   f"{question.image_id!r}")
             samples.append(Sample(question, graph, record.answer))
         except CorpusError as exc:
-            report.skipped_sample_ids.append(question.id)
-            report.warnings.append(f"{exc}; sample skipped")
+            report.skipped[question.id] = str(exc)
 
     if answer_vocab is None:
         vocab = tuple(dict.fromkeys(s.answer for s in samples))

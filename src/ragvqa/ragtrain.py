@@ -14,6 +14,7 @@ aggregation additions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,9 @@ class AggregationConfig:
     use_dv: bool = True
 
     def __post_init__(self) -> None:
-        if self.w_q < 0 or self.w_v < 0:
-            raise ValueError("aggregation weights must be non-negative")
+        for name, weight in (("w_q", self.w_q), ("w_v", self.w_v)):
+            if not (math.isfinite(weight) and weight >= 0):  # NaN fails it too
+                raise ValueError(f"aggregation weight {name} must be finite and >= 0, got {weight}")
         if self.k_q < 1 or self.k_v < 1:
             raise ValueError("retrieval depths must be >= 1")
         if self.refresh_every < 1:
@@ -88,8 +90,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
 
 
 class TrainingDiverged(RuntimeError):

@@ -1,13 +1,16 @@
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ragvqa.benchmark import (
     LEVELS,
     SPLIT_LABELS,
     BenchmarkError,
     Candidate,
-    Composition,
     build_splits,
     classify,
+    composition_type,
     compositions_of,
     filter_candidates,
     read_splits,
@@ -17,7 +20,7 @@ from ragvqa.benchmark import (
     verify_splits,
     write_splits,
 )
-from ragvqa.corpus import Corpus, CorpusError
+from ragvqa.corpus import Corpus, CorpusError, SynthConfig, generate_synthetic
 from ragvqa.primitives import Modality, PartOfSpeech, Primitive, primitive_key
 
 from conftest import make_corpus, make_sample
@@ -29,27 +32,40 @@ DOG_V = Primitive("dog", Modality.VISUAL)
 GRASS_V = Primitive("grass", Modality.VISUAL)
 
 
-# -- Composition ----------------------------------------------------------------
+# -- composition pairs -------------------------------------------------------------
+
+
+def _pair(p1, p2):
+    (pair,) = compositions_of({p1, p2})
+    return pair
 
 
 def test_composition_types():
-    assert Composition.of(WHITE_L, DOG_L).comp_type == "LL"
-    assert Composition.of(WHITE_L, DOG_V).comp_type == "LV"
-    assert Composition.of(DOG_V, GRASS_V).comp_type == "VV"
+    assert composition_type(_pair(WHITE_L, DOG_L)) == "LL"
+    assert composition_type(_pair(WHITE_L, DOG_V)) == "LV"
+    assert composition_type(_pair(DOG_V, GRASS_V)) == "VV"
 
 
 def test_composition_requires_distinct_primitives():
-    with pytest.raises(BenchmarkError):
-        Composition.of(DOG_L, DOG_L)
+    # the input is a set, so a repeated primitive cannot pair with itself
+    assert compositions_of({DOG_L, DOG_L}) == set()
+    assert compositions_of({DOG_L, DOG_V, DOG_L}) == {(primitive_key(DOG_L), primitive_key(DOG_V))}
 
 
 def test_composition_is_unordered():
-    assert Composition.of(WHITE_L, DOG_V) == Composition.of(DOG_V, WHITE_L)
-    assert len({Composition.of(WHITE_L, DOG_V), Composition.of(DOG_V, WHITE_L)}) == 1
+    # dict key views are sets that iterate in insertion order
+    forward = compositions_of(dict.fromkeys([WHITE_L, DOG_V]).keys())
+    backward = compositions_of(dict.fromkeys([DOG_V, WHITE_L]).keys())
+    assert forward == backward
+    assert len(forward | backward) == 1
+
+
+def test_composition_is_a_sorted_key_pair():
+    assert _pair(DOG_V, WHITE_L) == (primitive_key(WHITE_L), primitive_key(DOG_V))
 
 
 def test_composition_same_name_cross_modal_is_lv():
-    assert Composition.of(DOG_L, DOG_V).comp_type == "LV"
+    assert composition_type(_pair(DOG_L, DOG_V)) == "LV"
 
 
 # -- compositions_of ---------------------------------------------------------------
@@ -150,10 +166,9 @@ def test_objectless_sample_never_reaches_filter():
         make_sample("the dog?", [], "yes", "v1", "vi1")
 
 
-def test_filter_is_complete_against_brute_force(lexicon, small_pair):
-    """Every val sample a plain pair enumeration admits is admitted, and
-    nothing else, with the same novel types and counts."""
-    train_corpus, val_corpus = small_pair
+def _brute_force_admitted(train_corpus, val_corpus, lexicon):
+    """Reference filter over frozenset pairs of every key ordering:
+    {admitted id: (novel types, novel composition count)}."""
 
     def keyed(sample):
         return {primitive_key(p) for p in sample_primitives(sample, lexicon)}
@@ -174,11 +189,74 @@ def test_filter_is_complete_against_brute_force(lexicon, small_pair):
         if keys <= seen_keys and novel:
             types = {pair_type[tuple(sorted({k[0] for k in pair}))] for pair in novel}
             expected[sample.question.id] = (frozenset(types), len(novel))
+    return expected
 
+
+def _admitted(train_corpus, val_corpus, lexicon):
     candidates, _ = filter_candidates(val_corpus, train_signature(train_corpus, lexicon), lexicon)
-    admitted = {c.sample_id: (c.novel_types, c.novel_composition_count) for c in candidates}
-    assert admitted == expected
+    return {c.sample_id: (c.novel_types, c.novel_composition_count) for c in candidates}
+
+
+def test_filter_is_complete_against_brute_force(lexicon, small_pair):
+    """Every val sample a plain pair enumeration admits is admitted, and
+    nothing else, with the same novel types and counts."""
+    train_corpus, val_corpus = small_pair
+    admitted = _admitted(train_corpus, val_corpus, lexicon)
+    assert admitted == _brute_force_admitted(train_corpus, val_corpus, lexicon)
     assert len(admitted) > 0
+
+
+# Word lemmas that equal object labels ("dog", "white"), a stop word that
+# leaves a lone object as the sample's only primitive ("the" + one bare
+# object), and val-only concepts ("zebra", "ball") that train never sees.
+_TRAIN_WORDS = ("the", "dog", "cat", "white", "red", "small")
+_TRAIN_CATEGORIES = ("dog", "cat", "grass")
+_ATTRIBUTES = ("white", "red")
+
+
+def _tiny_samples(words, categories):
+    objects = st.tuples(
+        st.sampled_from(categories), st.sets(st.sampled_from(_ATTRIBUTES), max_size=2)
+    )
+    # object lists may repeat an object, e.g. two bare dogs
+    return st.lists(
+        st.tuples(st.lists(st.sampled_from(words), min_size=1, max_size=4),
+                  st.lists(objects, min_size=1, max_size=3)),
+        max_size=6,
+    )
+
+
+def _tiny_corpus(records, split_tag):
+    return make_corpus(
+        [
+            make_sample(" ".join(words) + "?", objects, "yes", f"{split_tag}{i}", f"{split_tag}i{i}")
+            for i, (words, objects) in enumerate(records)
+        ],
+        split_tag,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _tiny_samples(_TRAIN_WORDS, _TRAIN_CATEGORIES),
+    _tiny_samples(_TRAIN_WORDS + ("zebra",), _TRAIN_CATEGORIES + ("ball",)),
+)
+@example(
+    [(["the", "white", "dog"], [("dog", {"white"}), ("cat", set())]), (["cat"], [("grass", set())])],
+    [
+        (["the"], [("dog", set())]),  # one primitive
+        (["the", "dog"], [("dog", set()), ("dog", set())]),  # duplicate objects
+        (["white", "cat"], [("dog", set())]),
+        (["zebra", "dog"], [("dog", set())]),  # a primitive unseen in train
+        (["dog"], [("ball", {"white"})]),
+    ],
+)
+def test_filter_matches_brute_force_on_tiny_corpora(lexicon, train_records, val_records):
+    train_corpus = _tiny_corpus(train_records, "t")
+    val_corpus = _tiny_corpus(val_records, "v")
+    assert _admitted(train_corpus, val_corpus, lexicon) == _brute_force_admitted(
+        train_corpus, val_corpus, lexicon
+    )
 
 
 # -- classify ----------------------------------------------------------------------
@@ -378,3 +456,28 @@ def test_read_splits_rejects_malformed_line(tmp_path, bad_line):
     path.write_text('{"sample_id": "q1", "split_label": "LL"}\n' + bad_line + "\n", "utf-8")
     with pytest.raises(BenchmarkError, match="line 2"):
         read_splits(path)
+
+
+# -- benchmark content ---------------------------------------------------------------
+
+# sha256 of the write_splits bytes for the default synthetic corpus at each seed
+_SPLITS_SHA256 = {
+    0: "a3c2a96868d2fd6ba81f55c268995e8b8897c00ce8f621aec88fcc2b04ba7bcf",
+    1: "8b605073fb0bb57baf03461a60ae1f4183a8902c4c43a1968e0b6cfbb8bc64a6",
+    2: "8d39df0ed152dcb57593a1acda97f6b023772ee724932374b66bc33de1f96c00",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SPLITS_SHA256))
+def test_default_benchmark_content_is_pinned(tmp_path, lexicon, seed):
+    """The splits that the default corpus yields, byte for byte.  A speed-up
+    of the builder must not change which samples are admitted or where they
+    go; a digest here changes only together with a CHANGES.md entry that
+    explains why the benchmark's content changed."""
+    train_corpus, val_corpus = generate_synthetic(SynthConfig(), seed)
+    candidates, _ = filter_candidates(val_corpus, train_signature(train_corpus, lexicon), lexicon)
+    splits, _ = build_splits(candidates, n_per_split=50, seed=seed)
+    path = tmp_path / "splits.jsonl"
+    write_splits(splits, candidates, path)
+    assert len(candidates) == 600
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _SPLITS_SHA256[seed]

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from ragvqa.cli import main
+from ragvqa.cli import EXIT_FAILURE, main
 
 SYNTH_CONFIG = """\
 categories = dog, cat, bird, car, tree, ball
@@ -198,6 +198,17 @@ def test_train_applies_preset_and_overrides(workspace, tmp_path):
     assert resolved["w_q"] == "0.3"
     assert resolved["w_v"] == "0.4"  # from the gqa preset
     assert resolved["epochs"] == "1"
+
+
+def test_train_rejects_a_nan_learning_rate_before_training(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    code = main([
+        "train", "--data", str(workspace / "data"), "--out", str(run),
+        "--epochs", "1", "--lr", "nan", "--no-retrieval",
+    ])
+    assert code == EXIT_FAILURE
+    assert "learning rate must be finite and > 0, got nan" in capsys.readouterr().err
+    assert not run.exists()  # rejected before the run directory, let alone an epoch
 
 
 def test_ablate_writes_csv(workspace, tmp_path):

@@ -183,7 +183,7 @@ def test_build_corpus_skips_missing_scene_graph(tmp_path):
     sg_path.write_text(json.dumps({"i1": {"objects": {"o1": {"name": "dog"}}}}), encoding="utf-8")
     corpus, report = load_corpus(q_path, sg_path, "train")
     assert [s.question.id for s in corpus.samples] == ["q1"]
-    assert report.skipped_sample_ids == ["q2"]
+    assert list(report.skipped) == ["q2"]
 
 
 def test_load_corpus_skips_and_reports_unencodable_samples(tmp_path, small_pair, lexicon):
@@ -202,9 +202,10 @@ def test_load_corpus_skips_and_reports_unencodable_samples(tmp_path, small_pair,
     sg_path.write_text(json.dumps(graphs), "utf-8")
 
     corpus, report = load_corpus(q_path, sg_path, "train")
-    assert report.skipped_sample_ids == ["no_tokens", "no_objects"]
-    assert any("'no_tokens'" in w and "no tokens" in w for w in report.warnings)
-    assert any("'no_objects'" in w and "no objects" in w for w in report.warnings)
+    assert list(report.skipped) == ["no_tokens", "no_objects"]
+    assert "'no_tokens'" in report.skipped["no_tokens"] and "no tokens" in report.skipped["no_tokens"]
+    assert "'no_objects'" in report.skipped["no_objects"]
+    assert "no objects" in report.skipped["no_objects"]
     assert corpus.samples == train_corpus.samples
 
     vocabs = build_vocabularies(corpus)
@@ -291,13 +292,13 @@ def test_ingest_keeps_exactly_the_encodable_records(records):
         sg_path.write_text(json.dumps(graphs), "utf-8")
         corpus, report = load_corpus(q_path, sg_path, "train")
         assert list(corpus.samples) == good
-        assert report.skipped_sample_ids == bad
-        assert len(report.warnings) == len(bad)
+        assert list(report.skipped) == bad
+        assert all(qid in reason for qid, reason in report.skipped.items())
 
         save_corpus(corpus, q_path, sg_path)
         reloaded, report = load_corpus(q_path, sg_path, "train")
         assert reloaded == corpus
-        assert report.skipped_sample_ids == []
+        assert report.skipped == {}
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -386,7 +387,7 @@ def test_round_trip_save_load(tmp_path, small_pair):
     train, _ = small_pair
     save_corpus(train, tmp_path / "q.jsonl", tmp_path / "sg.json")
     reloaded, report = load_corpus(tmp_path / "q.jsonl", tmp_path / "sg.json", "train")
-    assert report.skipped_sample_ids == []
+    assert report.skipped == {}
     assert reloaded.samples == train.samples
     assert reloaded.answer_vocab == train.answer_vocab
 

@@ -121,6 +121,19 @@ def test_aggregation_config_validation():
         AggregationConfig(mode="magic")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["w_q", "w_v"])
+def test_aggregation_config_rejects_non_finite_weight(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite.*got {bad}"):
+        AggregationConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite_learning_rate(bad):
+    with pytest.raises(ValueError, match=f"learning rate must be finite.*got {bad}"):
+        TrainConfig(learning_rate=bad)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**31 - 1),
