@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -258,17 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ragvqa",
         description="Retrieval-augmented VQA training and benchmark toolkit",
+        allow_abbrev=False,  # so a flag prefix such as --e is a usage error, not --epochs
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic train/val corpus pair")
+    p = add_parser("gen-synth", help="generate a synthetic train/val corpus pair")
     p.add_argument("--config", help="synth config file (key = value)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("build-benchmark", help="build the seven compositional test splits")
+    p = add_parser("build-benchmark", help="build the seven compositional test splits")
     p.add_argument("--data", required=True)
     p.add_argument("--n-per-split", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -276,31 +279,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_benchmark)
 
-    p = sub.add_parser("train", help="train a model, with or without retrieval")
+    p = add_parser("train", help="train a model, with or without retrieval")
     _add_run_flags(p)
     p.add_argument("--no-retrieval", action="store_true")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on built splits")
+    p = add_parser("eval", help="evaluate a checkpoint on built splits")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--splits", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the database ablation grid")
+    p = add_parser("ablate", help="run the database ablation grid")
     _add_run_flags(p)
     p.add_argument("--splits", required=True)
     p.add_argument("--seeds", type=_seed_list, help="comma-separated seeds (default: the config's seed)")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("grad-check", help="finite-difference gradient verification")
+    p = add_parser("grad-check", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augmented", action="store_true")
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("verify-splits", help="independent re-check of built splits")
+    p = add_parser("verify-splits", help="independent re-check of built splits")
     p.add_argument("--data", required=True)
     p.add_argument("--splits", required=True)
     p.add_argument("--lexicon")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .primitives import tokenize
+from .primitives import default_lexicon, extract_linguistic, primitive_key, tokenize
 
 __all__ = [
     "CorpusError",
@@ -368,7 +368,7 @@ def parse_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
 
 
 def _pluralize(noun: str) -> str:
-    if noun.endswith(("ch", "sh", "ss", "x", "z")):
+    if noun.endswith(("s", "ch", "sh", "x", "z")):
         return noun + "es"
     return noun + "s"
 
@@ -411,6 +411,14 @@ class _Blueprint:
         return {a for _, attrs in self.objects for a in attrs}
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """The set bits of ``mask``, each as its own power of two."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 class _Generator:
     """Deterministic synthetic generator with held-out composition groups.
 
@@ -424,8 +432,14 @@ class _Generator:
 
     The validation split then deliberately realizes those pairings, so the
     benchmark builder finds novel compositions of each modality mix. A
-    coverage pass over the train split guarantees every other primitive
-    pairing is seen, which keeps the targeted validation samples pure.
+    coverage pass over the train split makes every category and attribute
+    seen, and each validation sample is also checked against the primitive
+    pairs the drawn train split holds (its question's lemmas under the default
+    lexicon, its scene labels): a targeted sample realizes exactly its
+    planned novel-composition types and an IID sample none, so with the
+    default lexicon the benchmark finds every planned sample under its
+    planned label and no IID sample among its candidates. A blueprint that
+    fails the check is drawn again; one that passes costs no extra draw.
     """
 
     def __init__(self, config: SynthConfig, seed: int) -> None:
@@ -457,6 +471,17 @@ class _Generator:
         self.h_lv = frozenset(held[2::3])
         self.held = frozenset(held)
         self._counter = 0
+        # each primitive is one bit of an int mask: the scene labels first,
+        # then the question lemmas as they are met
+        self._label_bits = {
+            label: 1 << i
+            for i, label in enumerate(dict.fromkeys((*config.categories, *config.attributes)))
+        }
+        self._labels_mask = (1 << len(self._label_bits)) - 1
+        self._lemma_bits: dict[tuple[str, str, str], int] = {}
+        self._token_masks: dict[str, int] = {}  # 0 for a closed-class token
+        self._question_masks: dict[tuple[str, str, str | None], int] = {}
+        self._partners: dict[int, int] = {}  # bit -> mask of what shares a train sample with it
 
     # -- constraint checks --------------------------------------------------
 
@@ -473,6 +498,67 @@ class _Generator:
         if q_attr is not None and any((q_attr, c) in self.h_lv for c in scene_cats):
             hits.add("LV")
         return hits
+
+    def _question_mask(self, bp: _Blueprint) -> int:
+        """The lemmas ``extract_linguistic`` takes from the question under the
+        default lexicon."""
+        key = (bp.template, bp.q_cat, bp.q_attr)
+        mask = self._question_masks.get(key)
+        if mask is None:
+            mask = 0
+            for token in tokenize(bp.question_text()):
+                token_mask = self._token_masks.get(token)
+                if token_mask is None:
+                    token_mask = self._token_masks[token] = self._lemma_mask(token)
+                mask |= token_mask
+            self._question_masks[key] = mask
+        return mask
+
+    def _lemma_mask(self, token: str) -> int:
+        """The token's lemma, if any: ``extract_linguistic`` tags and
+        lemmatizes each token on its own, so it can run on one token."""
+        primitives, _ = extract_linguistic(Question("", token, ""), default_lexicon())
+        bits = self._lemma_bits
+        mask = 0
+        for key in map(primitive_key, primitives):
+            mask |= bits.setdefault(key, 1 << (len(self._label_bits) + len(bits)))
+        return mask
+
+    def _scene_mask(self, bp: _Blueprint) -> int:
+        labels = self._label_bits
+        mask = 0
+        for cat, attrs in bp.objects:
+            mask |= labels[cat]
+            for attr in attrs:
+                mask |= labels[attr]
+        return mask
+
+    def _learn_train_pairs(self, train_bps: list[_Blueprint]) -> None:
+        """Record, per primitive, every primitive it shares a train sample with."""
+        # the union of the samples' masks per question and per scene first,
+        # since both repeat, then spread over their bits
+        unions: dict[int, int] = {}
+        for bp in train_bps:
+            question, scene = self._question_mask(bp), self._scene_mask(bp)
+            unions[question] = unions.get(question, 0) | question | scene
+            unions[scene] = unions.get(scene, 0) | question | scene
+        partners = self._partners
+        for part, union in unions.items():
+            for bit in _bits(part):
+                partners[bit] = partners.get(bit, 0) | union
+
+    def _realized_kinds(self, bp: _Blueprint) -> set[str]:
+        """The novel-composition types of ``bp`` against the train split's pairs."""
+        mask = self._question_mask(bp) | self._scene_mask(bp)
+        labels = self._labels_mask
+        kinds: set[str] = set()
+        for bit in _bits(mask):
+            unseen = mask & ~self._partners.get(bit, 0)
+            if unseen & labels:
+                kinds.add("VV" if bit & labels else "LV")
+            if unseen & ~labels:
+                kinds.add("LV" if bit & labels else "LL")
+        return kinds
 
     def _allowed_attrs(self, category: str) -> list[str]:
         return [a for a in self.cfg.attributes if (a, category) not in self.h_vv]
@@ -619,11 +705,14 @@ class _Generator:
                 if q_attr is None:
                     q_cat = c
             if not kinds:  # IID sample: same recipe as train
-                return self._random_train_blueprint()
+                bp = self._random_train_blueprint()
+                if not self._realized_kinds(bp):
+                    return bp
+                continue
             template = "exist" if q_attr is not None else "count"
             bp = _Blueprint(template, q_cat, q_attr, objects)
             bp.objects.extend(self._val_scene_fillers(q_attr, bp.scene_cats()))
-            if self._novel_hits(bp) == kinds:
+            if self._novel_hits(bp) == kinds == self._realized_kinds(bp):
                 return bp
         raise ConfigurationError(f"could not construct a validation sample of kinds {sorted(kinds)}")
 
@@ -639,6 +728,7 @@ class _Generator:
         while len(train_bps) < cfg.n_train:
             train_bps.append(self._random_train_blueprint())
         self.rng.shuffle(train_bps)
+        self._learn_train_pairs(train_bps)
 
         kind_shares = [
             (frozenset(), 0.40),

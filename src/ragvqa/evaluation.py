@@ -67,14 +67,20 @@ def evaluate(
     reports accuracy None with n=0.
     """
     by_id = {s.question.id: s for s in corpus.samples}
-    per_split_counts: dict[str, tuple[int, int]] = {}
+    samples = []
     for label in SPLIT_LABELS:
-        ids = splits.get(label, [])
-        for sample_id in ids:
+        for sample_id in splits.get(label, []):
             if sample_id not in by_id:
                 raise EvalError(f"split {label} references missing sample {sample_id!r}")
-        samples = [by_id[sample_id] for sample_id in ids]
-        per_split_counts[label] = (sum(answered_correctly(params, vocabs, samples)), len(ids))
+            samples.append(by_id[sample_id])
+    # one pass over every split, so each distinct input is encoded once
+    answered = answered_correctly(params, vocabs, samples)
+    per_split_counts: dict[str, tuple[int, int]] = {}
+    start = 0
+    for label in SPLIT_LABELS:
+        n = len(splits.get(label, []))
+        per_split_counts[label] = (sum(answered[start : start + n]), n)
+        start += n
 
     def ratio(correct: int, total: int) -> float | None:
         return correct / total if total else None

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sample, SceneGraph
+from .corpus import Corpus, ObjectInstance, Sample, SceneGraph
 from .primitives import tokenize
 
 __all__ = [
@@ -213,16 +213,15 @@ def question_token_ids(vocabs: Vocabularies, text: str) -> list[int]:
     return [vocabs.words.get(tok, 0) for tok in tokenize(text)]
 
 
+def _object_ids(vocabs: Vocabularies, obj: ObjectInstance) -> tuple[int, tuple[int, ...]]:
+    labels = vocabs.labels
+    return labels.get(obj.category, 0), tuple(labels.get(a, 0) for a in sorted(obj.attributes))
+
+
 def scene_object_ids(
     vocabs: Vocabularies, scene: SceneGraph
 ) -> list[tuple[int, tuple[int, ...]]]:
-    return [
-        (
-            vocabs.labels.get(obj.category, 0),
-            tuple(vocabs.labels.get(a, 0) for a in sorted(obj.attributes)),
-        )
-        for obj in scene.objects
-    ]
+    return [_object_ids(vocabs, obj) for obj in scene.objects]
 
 
 def encode_question(params: ParamSet, token_ids: Sequence[int]) -> np.ndarray:
@@ -418,25 +417,61 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 
 
+class _Encoder:
+    """The encoders under one fixed ``params``, each distinct input encoded once.
+
+    A question is encoded once per text and an object once per
+    ``(cat_id, attr_ids)``. This is exact: ``encode_question``'s output
+    depends only on the token ids, and each row of ``encode_image`` only on
+    its own object, so a scene's features are the stack of its objects'
+    rows. Build one per parameter snapshot; it must not outlive it.
+    """
+
+    def __init__(self, params: ParamSet, vocabs: Vocabularies) -> None:
+        self.params = params
+        self.vocabs = vocabs
+        self._questions: dict[str, np.ndarray] = {}
+        self._objects: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+
+    def question(self, text: str) -> np.ndarray:
+        """``encode_question`` of the text's token ids."""
+        h_q = self._questions.get(text)
+        if h_q is None:
+            h_q = encode_question(self.params, question_token_ids(self.vocabs, text))
+            self._questions[text] = h_q
+        return h_q
+
+    def object_row(self, obj: ObjectInstance) -> np.ndarray:
+        """``encode_image``'s row for the object's ids."""
+        ids = _object_ids(self.vocabs, obj)
+        row = self._objects.get(ids)
+        if row is None:
+            row = self._objects[ids] = encode_image(self.params, [ids])[0]
+        return row
+
+    def answer(self, sample: Sample) -> str:
+        """The argmax answer string, without retrieval."""
+        h_q = self.question(sample.question.text)
+        h_v = np.array([self.object_row(obj) for obj in sample.scene_graph.objects])
+        return self.vocabs.answers[int(np.argmax(forward(self.params, h_q, h_v)))]
+
+
 def predict_answer(params: ParamSet, vocabs: Vocabularies, sample: Sample) -> str:
-    """Argmax answer string for one sample, without retrieval."""
-    token_ids = question_token_ids(vocabs, sample.question.text)
-    objects = scene_object_ids(vocabs, sample.scene_graph)
-    probs = forward(
-        params, encode_question(params, token_ids), encode_image(params, objects)
-    )
-    return vocabs.answers[int(np.argmax(probs))]
+    """Argmax answer string for one sample, without retrieval: the one-sample
+    view of ``answered_correctly``."""
+    return _Encoder(params, vocabs).answer(sample)
 
 
 def answered_correctly(
     params: ParamSet, vocabs: Vocabularies, samples: Sequence[Sample]
 ) -> list[bool]:
     """Whether the model's answer to each sample is exactly its ground truth.
-    A ground truth outside the vocabulary is wrong without a prediction."""
+    A ground truth outside the vocabulary is wrong without a prediction.
+    Each distinct question and object in ``samples`` is encoded once."""
     known = set(vocabs.answers[:-1])
+    encoder = _Encoder(params, vocabs)
     return [
-        sample.answer in known and predict_answer(params, vocabs, sample) == sample.answer
-        for sample in samples
+        sample.answer in known and encoder.answer(sample) == sample.answer for sample in samples
     ]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .model import ParamSet, Vocabularies, encode_image, encode_question, question_token_ids, scene_object_ids
+from .model import ParamSet, Vocabularies, _Encoder
 from .primitives import (
     Lexicon, Modality, Primitive, PrimitiveOccurrence, extract_linguistic, extract_visual,
     primitive_key,
@@ -188,7 +188,8 @@ def encode_index(
     """Encode every stored context under the current parameters.
 
     Record order equals database iteration order; provenance is unchanged
-    across re-encodings, only the vectors move.
+    across re-encodings, only the vectors move. Each distinct question and
+    object the contexts name is encoded once.
     """
     linguistic = db.modality is Modality.LINGUISTIC
     if linguistic:
@@ -196,29 +197,24 @@ def encode_index(
     else:
         sources = corpus.scene_graphs()
 
+    encoder = _Encoder(params, vocabs)
     vectors: list[np.ndarray] = []
     records: list[IndexRecord] = []
-    feature_cache: dict[str, np.ndarray] = {}
     ordinal = 0
     for primitive, contexts in db.entries.items():
         for source_id, position in contexts:
-            feats = feature_cache.get(source_id)
-            if feats is None:
-                source = sources.get(source_id)
-                if source is None:
-                    raise RetrievalError(
-                        f"dangling source id {source_id!r} in the {db.modality.value} database"
-                    )
-                if linguistic:
-                    feats = encode_question(params, question_token_ids(vocabs, source.text))
-                else:
-                    feats = encode_image(params, scene_object_ids(vocabs, source))
-                feature_cache[source_id] = feats
-            if position >= feats.shape[0]:
+            source = sources.get(source_id)
+            if source is None:
+                raise RetrievalError(
+                    f"dangling source id {source_id!r} in the {db.modality.value} database"
+                )
+            # a question's word features, or a scene's objects
+            units = encoder.question(source.text) if linguistic else source.objects
+            if position >= len(units):
                 raise RetrievalError(
                     f"position {position} out of range for source {source_id!r}"
                 )
-            vectors.append(feats[position])
+            vectors.append(units[position] if linguistic else encoder.object_row(units[position]))
             records.append(IndexRecord(primitive, source_id, position, ordinal))
             ordinal += 1
     matrix = np.array(vectors) if vectors else np.empty((0, params.d))

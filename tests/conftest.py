@@ -54,6 +54,19 @@ SMALL_SYNTH = SynthConfig(
 )
 
 
+# the wide 20 x 16 concept inventory of the benchmark's rag-bigdb workload
+WIDE_SYNTH = SynthConfig(
+    categories=tuple(
+        "dog cat bird horse car bus tree flower chair table ball book shoe cup hat box "
+        "boat lamp door plate".split()
+    ),
+    attributes=tuple(
+        "white black red blue green brown yellow gray purple orange small big tall round "
+        "old wooden".split()
+    ),
+)
+
+
 @pytest.fixture(scope="session")
 def small_pair():
     """A compact (train, val) pair for training-loop tests."""

@@ -282,6 +282,21 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, prefix",
+    [(["train"], ["--e", "4"]), (["ablate", "--splits", "s.jsonl"], ["--seed", "7"])],
+)
+def test_flag_prefixes_are_usage_errors(tmp_path, capsys, command, prefix):
+    """``--e`` is not read as ``--epochs``, nor ``--seed`` as ``--seeds``."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o"), *prefix])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ragvqa ")
+    assert f"unrecognized arguments: {' '.join(prefix)}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_data_directory_is_runtime_error(tmp_path, capsys):
     code = main([
         "build-benchmark", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "bench"),

@@ -3,19 +3,21 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ragvqa.benchmark import sample_primitives
+from ragvqa.benchmark import classify, filter_candidates, sample_primitives, train_signature
 from ragvqa.corpus import (
     ConfigurationError,
     CorpusError,
     IngestionError,
     SceneGraph,
     SynthConfig,
+    _pluralize,
     build_corpus,
     generate_synthetic,
     load_corpus,
@@ -26,9 +28,10 @@ from ragvqa.corpus import (
 )
 from ragvqa.model import build_vocabularies, corpus_accuracy, init_params
 from ragvqa.primdb import build_dq, build_dv
+from ragvqa.primitives import PartOfSpeech, lemmatize
 from ragvqa.ragtrain import AggregationConfig, TrainConfig, train
 
-from conftest import SMALL_SYNTH, make_sample
+from conftest import SMALL_SYNTH, WIDE_SYNTH, make_sample
 
 
 # -- load_questions -----------------------------------------------------------
@@ -355,6 +358,30 @@ def test_generate_synthetic_seed_changes_output():
 def test_generate_synthetic_too_small_inventory():
     with pytest.raises(ConfigurationError):
         SynthConfig(categories=("dog",), attributes=("white",))
+
+
+@pytest.mark.parametrize("inventory", [SynthConfig(), WIDE_SYNTH], ids=["default", "wide"])
+def test_count_questions_name_the_category_primitive(lexicon, inventory):
+    """"How many buses" must give the primitive "bus", as "Is the bus red?" does."""
+    for category in inventory.categories:
+        assert lemmatize(_pluralize(category), PartOfSpeech.NOUN, lexicon) == category
+
+
+# share of the 1,000 default val samples planned per label; the other 400 are IID
+_PLANNED_LABELS = {
+    "LL": 120, "VV": 120, "LV": 120, "LL+VV": 60, "LL+LV": 60, "VV+LV": 60, "LL+VV+LV": 60,
+}
+
+
+@pytest.mark.parametrize("seed", [24, 28, 102])
+def test_wide_val_split_realizes_exactly_its_plan(lexicon, seed):
+    """Every planned val sample is a candidate under its planned label, and no
+    IID sample is one (the label counts match and add up to the planned 600).
+    These seeds once lost LL+VV samples to unplanned LV pairs."""
+    train_c, val_c = generate_synthetic(WIDE_SYNTH, seed)
+    candidates, _ = filter_candidates(val_c, train_signature(train_c, lexicon), lexicon)
+    assert Counter(map(classify, candidates)) == _PLANNED_LABELS
+    assert len(candidates) == sum(_PLANNED_LABELS.values()) == len(val_c.samples) - 400
 
 
 def test_generate_synthetic_primitive_coverage(synth_pair, lexicon):

@@ -499,14 +499,14 @@ def test_answered_correctly_is_per_sample_exact_match(monkeypatch):
     unknown = make_sample("Is the dog black?", [("dog", set())], "maybe", "q9", "i9")
     predicted = []
 
-    def always_no(params, vocabs, sample):
-        predicted.append(sample.question.id)
-        return "no"
+    def always_no(params, q_features, v_features):
+        predicted.append(len(q_features))
+        return np.eye(len(vocabs.answers))[vocabs.answers.index("no")]
 
-    monkeypatch.setattr("ragvqa.model.predict_answer", always_no)
+    monkeypatch.setattr("ragvqa.model.forward", always_no)
     samples = [*corpus.samples, unknown]
     assert answered_correctly(params, vocabs, samples) == [True, False, False]
-    assert predicted == ["q1", "q2"]  # an unknown ground truth needs no prediction
+    assert predicted == [4, 4]  # an unknown ground truth needs no prediction
     assert corpus_accuracy(params, vocabs, samples) == 1 / 3
 
 

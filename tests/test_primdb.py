@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ragvqa.model import build_vocabularies, init_params
+from ragvqa.model import (
+    build_vocabularies,
+    encode_image,
+    encode_question,
+    init_params,
+    question_token_ids,
+    scene_object_ids,
+)
 from ragvqa.primdb import (
     NORM_FLOOR,
     FeatureIndex,
@@ -153,6 +160,52 @@ def test_encode_index_dangling_source(lexicon):
     bad[DOG_L] = (("q_nowhere", 0),)
     with pytest.raises(RetrievalError, match="q_nowhere"):
         encode_index(dataclasses.replace(db, entries=bad), params, vocabs, corpus, 1)
+
+
+@pytest.mark.parametrize("modality", ["linguistic", "visual"])
+def test_encode_index_position_out_of_range(lexicon, modality):
+    corpus, vocabs, params, _ = _encoded(lexicon)
+    sample = corpus.samples[0]
+    if modality == "linguistic":
+        db = build_dq(corpus, t_q=8, seed=0, lexicon=lexicon)
+        source, length = sample.question.id, len(question_token_ids(vocabs, sample.question.text))
+    else:
+        db = build_dv(corpus, t_v=8, seed=0)
+        source, length = sample.scene_graph.image_id, len(sample.scene_graph.objects)
+    primitive = next(iter(db.entries))
+    entries = {**db.entries, primitive: ((source, length - 1), (source, length))}
+    with pytest.raises(RetrievalError, match=f"position {length} out of range for source {source!r}"):
+        encode_index(dataclasses.replace(db, entries=entries), params, vocabs, corpus, 1)
+
+
+def _per_source_index_vectors(db, params, vocabs, corpus):
+    """The per-source rule: encode each context's whole source, take its row."""
+    questions = {s.question.id: s.question for s in corpus.samples}
+    graphs = corpus.scene_graphs()
+    rows = []
+    for contexts in db.entries.values():
+        for source_id, position in contexts:
+            if db.modality is Modality.LINGUISTIC:
+                ids = question_token_ids(vocabs, questions[source_id].text)
+                rows.append(encode_question(params, ids)[position])
+            else:
+                objects = scene_object_ids(vocabs, graphs[source_id])
+                rows.append(encode_image(params, objects)[position])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("params_seed", [0, 3])
+def test_encode_index_equals_the_per_source_rule(lexicon, small_pair, params_seed):
+    """Encoding each distinct question and object once gives the same bits as
+    encoding every context's source on its own."""
+    train_c, _ = small_pair
+    vocabs = build_vocabularies(train_c)
+    params = init_params(
+        len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 8, 8, params_seed
+    )
+    for db in (build_dq(train_c, 8, 0, lexicon), build_dv(train_c, 32, 0)):
+        index = encode_index(db, params, vocabs, train_c, 1)
+        assert np.array_equal(index.vectors, _per_source_index_vectors(db, params, vocabs, train_c))
 
 
 def test_index_vectors_immutable(lexicon):

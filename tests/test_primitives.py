@@ -90,6 +90,25 @@ def test_lemmatize_does_not_mangle_ss_words(lexicon):
     assert lemmatize("pass", PartOfSpeech.VERB, lexicon) == "pass"
 
 
+@pytest.mark.parametrize(
+    "plural, lemma",
+    [("puppies", "puppy"), ("churches", "church"), ("dishes", "dish"),
+     ("glasses", "glass"), ("boxes", "box"), ("buzzes", "buzz"), ("ties", "tie")],
+)
+def test_lemmatize_es_and_ies_plurals(lexicon, plural, lemma):
+    assert lemmatize(plural, PartOfSpeech.NOUN, lexicon) == lemma
+
+
+def test_lemmatize_strips_the_possessive(lexicon):
+    assert lemmatize("dog's", PartOfSpeech.NOUN, lexicon) == "dog"
+    assert lemmatize("boxes's", PartOfSpeech.NOUN, lexicon) == "box"
+    assert lemmatize("running's", PartOfSpeech.VERB, lexicon) == "run"
+    assert lemmatize("red's", PartOfSpeech.ADJECTIVE, lexicon) == "red"
+    question = make_sample("Is the dog's hat red?", [("dog", set())], "no").question
+    names = {p.name for p in extract_linguistic(question, lexicon)[0]}
+    assert "dog" in names and "dog's" not in names
+
+
 def test_lemmatize_idempotent_over_lexicon(lexicon):
     for word, pos in lexicon.pos_table.items():
         once = lemmatize(word, pos, lexicon)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ragvqa import ragtrain
+from ragvqa.config import PRESETS
 from ragvqa.model import (
     build_vocabularies,
     encode_image,
@@ -382,13 +383,20 @@ def test_train_encodes_each_step_once(lexicon, monkeypatch, retrieval):
         TrainConfig(epochs=epochs, learning_rate=0.1), agg,
     )
 
-    def distinct_sources(db):
-        return len({source for contexts in db.entries.values() for source, _ in contexts})
+    def distinct(db, unit):
+        """How many distinct encoder inputs the database's contexts name."""
+        return len({unit(*context) for contexts in db.entries.values() for context in contexts})
 
+    questions = {s.question.id: s.question.text for s in corpus.samples}
+    graphs = corpus.scene_graphs()
     steps = epochs * len(corpus.samples)
+    # a snapshot encodes each distinct question once, and each distinct object
+    # of a context once, one object per encode_image call
     assert calls == {
-        "encode_question": steps + snapshots * distinct_sources(db_q),
-        "encode_image": steps + snapshots * distinct_sources(db_v),
+        "encode_question": steps + snapshots * distinct(db_q, lambda q, _: questions[q]),
+        "encode_image": steps + snapshots * distinct(
+            db_v, lambda image, ordinal: scene_object_ids(vocabs, graphs[image])[ordinal]
+        ),
         "extract_linguistic": len(corpus.samples) if retrieval else 0,
     }
 
@@ -403,6 +411,44 @@ def test_train_learning_progress(lexicon, small_pair):
         TrainConfig(epochs=20, learning_rate=0.1), None,
     )
     assert result.metrics[-1]["mean_loss"] < result.metrics[0]["mean_loss"]
+
+
+# per-epoch mean losses of the run below, taken from the code before index
+# encoding and evaluation were deduplicated
+_PINNED_LOSSES = {
+    "plain": [
+        2.1469991745828363, 2.033942684092351, 2.015149738826307,
+        2.0076172465731603, 2.003236711246884,
+    ],
+    "retrieval": [
+        2.1471965643392226, 2.0339264406094055, 2.0149755680103643,
+        2.0072179460045425, 2.0024051007628945,
+    ],
+}
+
+
+@pytest.mark.parametrize("arm", sorted(_PINNED_LOSSES))
+def test_training_numbers_are_pinned(lexicon, small_pair, arm):
+    """Training still produces the same numbers: ``small_pair``, seed 0, five
+    epochs, ``d = d_h = 8``, plain and at the gqa preset's weights.
+
+    A pinned value changes only together with a CHANGES.md entry that says
+    why the numerics moved."""
+    train_corpus, _ = small_pair
+    vocabs = build_vocabularies(train_corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 8, 8, 0)
+    db_q = db_v = agg = None
+    if arm == "retrieval":
+        gqa = PRESETS["gqa"]
+        db_q = build_dq(train_corpus, gqa["t_q"], 0, lexicon)
+        db_v = build_dv(train_corpus, gqa["t_v"], 0)
+        agg = AggregationConfig(w_q=gqa["w_q"], w_v=gqa["w_v"], k_q=gqa["k_q"], k_v=gqa["k_v"])
+    result = train(
+        train_corpus, db_q, db_v, params, vocabs, lexicon,
+        TrainConfig(epochs=5, learning_rate=0.05, seed=0), agg,
+    )
+    losses = [entry["mean_loss"] for entry in result.metrics]
+    assert losses == pytest.approx(_PINNED_LOSSES[arm], rel=1e-9, abs=0.0)
 
 
 def test_train_deterministic(lexicon):
