@@ -177,7 +177,8 @@ def cmd_ablate(args) -> int:
             for name, variant in grid:
                 # a failing variant gets an error row; the rest of the grid still runs
                 try:
-                    result, vocabs = _train_once(train_corpus, val_corpus, run, lexicon, variant)
+                    # no per-epoch val accuracy: the table does not read it
+                    result, vocabs = _train_once(train_corpus, None, run, lexicon, variant)
                     report = evaluation.evaluate(result.params, vocabs, splits, val_corpus)
                     iid = model.corpus_accuracy(result.params, vocabs, iid_samples)
                 except Exception as exc:  # noqa: BLE001 - recorded in the table

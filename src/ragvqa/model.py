@@ -41,7 +41,6 @@ __all__ = [
     "optimizer_step",
     "finite_difference_grad",
     "gradient_check",
-    "predict_answer",
     "answered_correctly",
     "corpus_accuracy",
     "save_checkpoint",
@@ -454,12 +453,6 @@ class _Encoder:
         h_q = self.question(sample.question.text)
         h_v = np.array([self.object_row(obj) for obj in sample.scene_graph.objects])
         return self.vocabs.answers[int(np.argmax(forward(self.params, h_q, h_v)))]
-
-
-def predict_answer(params: ParamSet, vocabs: Vocabularies, sample: Sample) -> str:
-    """Argmax answer string for one sample, without retrieval: the one-sample
-    view of ``answered_correctly``."""
-    return _Encoder(params, vocabs).answer(sample)
 
 
 def answered_correctly(

@@ -110,19 +110,42 @@ def load_lexicon(path: str) -> Lexicon:
     """Load a lexicon from its JSON file format.
 
     Format: ``{"pos": {word: tag}, "lemma_exceptions": {"word|tag": lemma}}``.
+    A file that is not JSON, not such an object, or holds an unknown key or
+    tag or a lemma that is not a lowercase word raises ValueError naming the
+    file and the offending key.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return _lexicon_from_raw(raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _lexicon_from_raw(json.load(fh))
+    except ValueError as exc:  # JSON and UTF-8 decode errors among them
+        raise ValueError(f"lexicon {path}: {exc}") from None
 
 
-def _lexicon_from_raw(raw: dict) -> Lexicon:
-    pos_table = {w: PartOfSpeech(t) for w, t in raw.get("pos", {}).items()}
+def _lexicon_from_raw(raw) -> Lexicon:
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    for key, section in raw.items():
+        if key not in ("pos", "lemma_exceptions"):
+            raise ValueError(f"unknown key {key!r}; expected 'pos' or 'lemma_exceptions'")
+        if not isinstance(section, dict):
+            raise ValueError(f"{key!r} must be an object, got {type(section).__name__}")
+    pos_table = {w: _tag(w, t) for w, t in raw.get("pos", {}).items()}
     exceptions = {}
     for key, lemma in raw.get("lemma_exceptions", {}).items():
-        word, _, tag = key.partition("|")
-        exceptions[(word, PartOfSpeech(tag))] = lemma
+        word, bar, tag = key.partition("|")
+        if not bar:
+            raise ValueError(f"lemma exception key {key!r} is not 'word|tag'")
+        if not (isinstance(lemma, str) and lemma and lemma == lemma.lower()):
+            raise ValueError(f"key {key!r} has lemma {lemma!r}, not a lowercase word")
+        exceptions[(word, _tag(key, tag))] = lemma
     return Lexicon(pos_table=pos_table, lemma_exceptions=exceptions)
+
+
+def _tag(key: str, tag) -> PartOfSpeech:
+    try:
+        return PartOfSpeech(tag)
+    except ValueError:
+        raise ValueError(f"key {key!r} has unknown tag {tag!r}") from None
 
 
 _DEFAULT_LEXICON: Lexicon | None = None

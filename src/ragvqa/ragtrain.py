@@ -1,11 +1,8 @@
 """Retrieval-augmented training: the optimization loop with periodic index
 refresh, which encodes each sample once per step, and the augmentation of
 those features: retrieval from both databases for all of a sample's
-primitive features at once, weighted aggregation, feature replacement.
-
-Aggregation modes:
-  weighted_feature (default)  p_a = p + (w_q/K_q) * sum cos(p, r) * r  [+ visual term]
-  scalar_broadcast            p_a = p + (w_q * mean cos + w_v * mean cos) per component
+primitive features at once, weighted aggregation in one of two modes
+(``aggregate``), feature replacement.
 
 Retrieved vectors are snapshot constants: no gradient flows into the
 aggregation additions.
@@ -36,8 +33,6 @@ from .primdb import (
     FeatureIndex,
     PrimitiveDB,
     RetrievalError,
-    RetrievalResult,
-    cosines,
     encode_index,
     search,
 )
@@ -99,43 +94,32 @@ class TrainingDiverged(RuntimeError):
 
 
 def aggregate(
-    p: np.ndarray,
-    retrieved_q: RetrievalResult | None,
-    retrieved_v: RetrievalResult | None,
+    features: np.ndarray,
+    neighbours_q: tuple[np.ndarray, np.ndarray] | None,
+    neighbours_v: tuple[np.ndarray, np.ndarray] | None,
     config: AggregationConfig,
 ) -> np.ndarray:
-    """Aggregate retrieved neighbor features into one primitive feature.
+    """A copy of ``features`` plus the D_q term, then the D_v term.
 
-    Every result passed in is added; an empty result or ``None`` contributes
-    exactly zero, and with both weights zero the input is returned unchanged
-    (as a copy). A non-finite feature is rejected, as ``retrieve`` rejects a
-    non-finite query.
+    Each neighbours argument is ``(sims, vectors)`` as ``search`` and
+    ``index.vectors[rows]`` give them (one leading axis per feature row), or
+    ``None`` for an index not searched. A term adds ``(w/K)·Σ sim·r``, or
+    ``(w/K)·Σ sim`` to every component in ``scalar_broadcast``, and is
+    skipped when its weight is 0.
     """
-    if not np.all(np.isfinite(p)):
-        raise RetrievalError("non-finite primitive feature")
-    out = p.copy()
-    for result, weight, depth in (
-        (retrieved_q, config.w_q, config.k_q),
-        (retrieved_v, config.w_v, config.k_v),
+    out = features.copy()
+    for neighbours, weight, depth in (
+        (neighbours_q, config.w_q, config.k_q),
+        (neighbours_v, config.w_v, config.k_v),
     ):
-        if not result or weight == 0.0:
+        if neighbours is None or weight == 0.0:
             continue
-        vectors = np.array([item.vector for item in result.items[:depth]])
-        _add_neighbours(out, cosines(p, vectors), vectors, weight, depth, config.mode)
+        sims, vectors = neighbours
+        if config.mode == "weighted_feature":
+            out += (weight / depth) * np.matmul(sims[..., np.newaxis, :], vectors)[..., 0, :]
+        else:
+            out += (weight / depth) * sims.sum(axis=-1, keepdims=True)
     return out
-
-
-def _add_neighbours(
-    out: np.ndarray, sims: np.ndarray, vectors: np.ndarray, weight: float, depth: int, mode: str
-) -> None:
-    """Add ``(w/K)·Σ sim·r`` (or ``(w/K)·Σ sim`` to every component, in
-    ``scalar_broadcast``) to ``out`` in place. ``sims`` holds the neighbours'
-    similarities on its last axis and ``vectors`` their rows on the one
-    before; leading axes, when present, are one per feature."""
-    if mode == "weighted_feature":
-        out += (weight / depth) * np.matmul(sims[..., np.newaxis, :], vectors)[..., 0, :]
-    else:
-        out += (weight / depth) * sims.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -159,23 +143,21 @@ def augment_sample(
     The word features ``h_q`` at ``positions`` (those ``extract_linguistic``
     reports) and every object feature ``h_v`` are augmented; other words pass
     through unchanged. Every index passed in is searched once for all of
-    them, and records sourced from ``sample`` are excluded. Each delta is
-    what ``aggregate`` adds to that feature given its ``retrieve`` results.
+    them, and records sourced from ``sample`` are excluded; ``aggregate``
+    adds the neighbours found to the features.
     """
     features = np.concatenate((h_q[positions], h_v))
-    out = features.copy()
-    n_indices = 0
-    for index, source, weight, depth in (
-        (index_q, sample.question.id, config.w_q, config.k_q),
-        (index_v, sample.scene_graph.image_id, config.w_v, config.k_v),
+    neighbours = []
+    for index, source, depth in (
+        (index_q, sample.question.id, config.k_q),
+        (index_v, sample.scene_graph.image_id, config.k_v),
     ):
         if index is None:
+            neighbours.append(None)
             continue
-        n_indices += 1
         rows, sims = search(features, index, depth, exclude_source=source)
-        if weight != 0.0:
-            _add_neighbours(out, sims, index.vectors[rows], weight, depth, config.mode)
-    delta = out - features
+        neighbours.append((sims, index.vectors[rows]))
+    delta = aggregate(features, *neighbours, config) - features
 
     q_delta = np.zeros_like(h_q)
     q_delta[positions] = delta[: len(positions)]
@@ -183,7 +165,7 @@ def augment_sample(
     return AugmentedSample(
         q_delta=q_delta if q_delta.any() else None,
         v_delta=v_delta if v_delta.any() else None,
-        retrieval_rounds=features.shape[0] * n_indices,
+        retrieval_rounds=features.shape[0] * ((index_q is not None) + (index_v is not None)),
     )
 
 

@@ -3,7 +3,10 @@ session-scoped synthetic corpus pair reused by the heavier tests."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from ragvqa.corpus import (
     Corpus,
@@ -15,6 +18,14 @@ from ragvqa.corpus import (
     generate_synthetic,
 )
 from ragvqa.primitives import default_lexicon
+
+# Property tests draw the same examples on every tier-1 run, so a failure
+# belongs to the change that caused it. HYPOTHESIS_PROFILE=explore draws
+# fresh random examples instead. Each test's own @settings (max_examples,
+# deadline) hold under both profiles.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

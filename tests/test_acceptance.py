@@ -27,7 +27,7 @@ from ragvqa.model import (
     init_params,
     loss_and_grads,
 )
-from ragvqa.primdb import FeatureIndex, IndexRecord, build_dq, build_dv, retrieve
+from ragvqa.primdb import FeatureIndex, IndexRecord, build_dq, build_dv, cosines, search
 from ragvqa.primitives import (
     Modality,
     PartOfSpeech,
@@ -40,7 +40,6 @@ from ragvqa.ragtrain import (
     aggregate,
     train,
 )
-from ragvqa.primdb import RetrievalResult, RetrievedItem
 
 
 def _emit(n: int, ok: bool, detail: str) -> None:
@@ -78,7 +77,8 @@ def test_criterion_1_retrieval_oracle_equivalence():
     for _ in range(1000):
         query = rng.standard_normal(d)
         k = int(rng.integers(1, 21))
-        got = [item.record for item in retrieve(query, index, k).items]
+        rows, _ = search(query[np.newaxis], index, k)
+        got = [records[row] for row in rows[0]]
         if got != oracle(query, k):
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -96,13 +96,9 @@ def test_criterion_1_retrieval_oracle_equivalence():
 def test_criterion_2_aggregation_identity_and_linearity():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    anchor = Primitive("dog", Modality.LINGUISTIC, PartOfSpeech.NOUN)
 
-    def result_of(matrix):
-        return RetrievalResult(tuple(
-            RetrievedItem(row, 0.0, IndexRecord(anchor, "s", 0, i))
-            for i, row in enumerate(matrix)
-        ))
+    def neighbours_of(p, matrix):
+        return cosines(p, matrix), matrix
 
     checked = 0
     worst = 0.0
@@ -110,8 +106,8 @@ def test_criterion_2_aggregation_identity_and_linearity():
         for _ in range(5000):
             d = int(rng.integers(1, 9))
             p = rng.standard_normal(d)
-            r_q = result_of(rng.standard_normal((int(rng.integers(0, 5)), d)))
-            r_v = result_of(rng.standard_normal((int(rng.integers(0, 5)), d)))
+            r_q = neighbours_of(p, rng.standard_normal((int(rng.integers(0, 5)), d)))
+            r_v = neighbours_of(p, rng.standard_normal((int(rng.integers(0, 5)), d)))
             w_q, w_v = rng.uniform(0, 2, size=2)
 
             zero = aggregate(p, r_q, r_v, AggregationConfig(w_q=0, w_v=0, mode=mode))

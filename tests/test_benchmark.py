@@ -423,6 +423,21 @@ def test_verify_splits_names_a_sample_put_in_two_splits(lexicon, small_pair):
     ]
 
 
+def test_verify_splits_names_a_sample_with_a_primitive_unseen_in_train(lexicon):
+    """Every primitive of a split sample must occur in train; only its
+    compositions may be novel. "zebra" never does, so the sample fails on
+    that alone, whatever its label."""
+    train, _ = _toy_world(lexicon)
+    val = make_corpus(
+        [make_sample("Is the zebra white?", [("cat", set())], "no", "v1", "vi1")], "val"
+    )
+    report = verify_splits({"VV": ["v1"]}, train, val, lexicon)
+    assert report.checked == 1
+    assert report.failures == [
+        "v1: primitives unseen in train: [('linguistic', 'zebra', 'noun')]"
+    ]
+
+
 def test_verify_splits_catches_unknown_sample(lexicon, small_pair):
     train_corpus, val_corpus, _, splits = _built_world(lexicon, small_pair)
     tampered = {label: list(ids) for label, ids in splits.items()}

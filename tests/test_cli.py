@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from ragvqa import model, ragtrain
 from ragvqa.cli import EXIT_FAILURE, main
 
 SYNTH_CONFIG = """\
@@ -123,6 +124,34 @@ def test_lexicon_file_round_trips_through_build_benchmark_and_train(workspace, t
     assert outputs["colorless"][1] != outputs["default"][1]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "expected a JSON object, got list"),
+        ('{"x": 1}', "unknown key 'x'"),
+        ('{"pos": ["dog"]}', "'pos' must be an object, got list"),
+        ('{"lemma_exceptions": {"geese": "goose"}}', "key 'geese' is not 'word|tag'"),
+        ('{"pos": {"dog": "nounish"}}', "key 'dog' has unknown tag 'nounish'"),
+        ('{"lemma_exceptions": {"geese|noun": 5}}', "key 'geese|noun' has lemma 5"),
+        ("pos = noun", "Expecting value"),
+    ],
+    ids=["not-an-object", "unknown-key", "section-not-an-object", "key-without-tag",
+         "unknown-tag", "lemma-not-a-word", "not-json"],
+)
+def test_bad_lexicon_file_is_a_named_runtime_error(workspace, tmp_path, capsys, text, message):
+    path = tmp_path / "lexicon.json"
+    path.write_text(text, "utf-8")
+    code = main([
+        "build-benchmark", "--data", str(workspace / "data"), "--lexicon", str(path),
+        "--out", str(tmp_path / "bench"),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAILURE
+    assert err.startswith(f"error: lexicon {path}: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bench").exists()
+
+
 def test_verify_splits_passes_on_built_benchmark(workspace, capsys):
     code = main([
         "verify-splits", "--data", str(workspace / "data"),
@@ -231,6 +260,22 @@ def _ablate(workspace, out, *flags):
         "ablate", "--data", str(workspace / "data"),
         "--splits", str(workspace / "bench" / "splits.jsonl"), "--out", str(out), *flags,
     ])
+
+
+def test_ablate_scores_the_val_corpus_once_per_variant(workspace, tmp_path, monkeypatch):
+    """``ablate`` reads no per-epoch val accuracy, so training computes none:
+    the one ``corpus_accuracy`` call per variant is the IID accuracy."""
+    scored = []
+    real = model.corpus_accuracy
+
+    def counting(params, vocabs, samples):
+        scored.append(len(samples))
+        return real(params, vocabs, samples)
+
+    monkeypatch.setattr(model, "corpus_accuracy", counting)
+    monkeypatch.setattr(ragtrain, "corpus_accuracy", counting)
+    assert _ablate(workspace, tmp_path / "ablate", "--epochs", "2", "--seeds", "0") == 0
+    assert len(scored) == 4  # baseline, dq_only, dv_only, both
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging lr overflows

@@ -487,6 +487,14 @@ def test_corpus_accuracy_unknown_answer_counts_wrong():
     assert corpus_accuracy(params, vocabs, [val_sample]) == 0.0
 
 
+def test_corpus_accuracy_of_no_samples_is_nan():
+    corpus = make_corpus([make_sample("Is the dog black?", [("dog", set())], "no")])
+    vocabs = build_vocabularies(corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 4, 4, 0)
+    assert math.isnan(corpus_accuracy(params, vocabs, []))
+    assert corpus_accuracy(params, vocabs, corpus.samples) in (0.0, 1.0)
+
+
 def test_answered_correctly_is_per_sample_exact_match(monkeypatch):
     corpus = make_corpus(
         [

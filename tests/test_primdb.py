@@ -559,6 +559,29 @@ def test_feature_index_rejects_ordinal_off_its_position():
         FeatureIndex(np.ones((2, 3)), records, snapshot_version=1)
 
 
+def _with_entry(value):
+    queries = np.ones((3, 4))
+    queries[1, 2] = value
+    return queries
+
+
+@pytest.mark.parametrize(
+    "queries, message",
+    [
+        (np.ones(4), r"queries must be a matrix, got shape \(4,\)"),
+        (np.ones((1, 1, 4)), r"queries must be a matrix, got shape \(1, 1, 4\)"),
+        (_with_entry(np.nan), "non-finite query vector"),
+        (_with_entry(np.inf), "non-finite query vector"),
+        (_with_entry(-np.inf), "non-finite query vector"),
+    ],
+    ids=["vector", "3d", "nan", "inf", "-inf"],
+)
+def test_search_rejects_a_bad_query(queries, message):
+    index = _random_index(np.random.default_rng(8), 5, 4)
+    with pytest.raises(RetrievalError, match=message):
+        search(queries, index, k=2)
+
+
 def _exact_order(index, query, exclude):
     """(-similarity, ordinal) order of every record not from ``exclude``.
     Each similarity is correctly rounded from its own row, so identical
@@ -589,12 +612,8 @@ def test_retrieve_orders_identical_rows_by_ordinal_under_exclusion(lexicon, synt
     for name, db in (("D_q", build_dq(train_c, 8, 0, lexicon)), ("D_v", build_dv(train_c, 32, 0))):
         index = encode_index(db, params, vocabs, train_c, 1)
         assert len(np.unique(index.vectors, axis=0)) < index.size
-        mismatches[name] = sum(
-            [
-                item.record.ordinal
-                for item in retrieve(row, index, index.size, exclude_source=record.source_id).items
-            ]
-            != _exact_order(index, row, record.source_id)
-            for record, row in zip(index.records, index.vectors)
-        )
+        mismatches[name] = 0
+        for record, row in zip(index.records, index.vectors):
+            rows, _ = search(row[np.newaxis], index, index.size, exclude_source=record.source_id)
+            mismatches[name] += rows[0].tolist() != _exact_order(index, row, record.source_id)
     assert mismatches == {"D_q": 0, "D_v": 0}

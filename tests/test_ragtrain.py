@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,18 +15,8 @@ from ragvqa.model import (
     question_token_ids,
     scene_object_ids,
 )
-from ragvqa.primdb import (
-    FeatureIndex,
-    IndexRecord,
-    RetrievalError,
-    RetrievalResult,
-    RetrievedItem,
-    build_dq,
-    build_dv,
-    encode_index,
-    retrieve,
-)
-from ragvqa.primitives import Modality, PartOfSpeech, Primitive, extract_linguistic
+from ragvqa.primdb import build_dq, build_dv, cosines, encode_index, search
+from ragvqa.primitives import Modality, extract_linguistic
 from ragvqa.ragtrain import (
     AggregationConfig,
     TrainConfig,
@@ -36,20 +27,12 @@ from ragvqa.ragtrain import (
 )
 
 from conftest import make_corpus, make_sample
+from reference import reference_train
 
-DOG_L = Primitive("dog", Modality.LINGUISTIC, PartOfSpeech.NOUN)
-
-
-def _result(*vectors):
-    items = tuple(
-        RetrievedItem(
-            vector=np.asarray(v, dtype=float),
-            similarity=0.0,
-            record=IndexRecord(DOG_L, f"s{i}", 0, i),
-        )
-        for i, v in enumerate(vectors)
-    )
-    return RetrievalResult(items=items)
+def _neighbours(p, *rows):
+    """(sims, vectors) of ``rows`` as the neighbours of the feature ``p``."""
+    vectors = np.array(rows, dtype=float).reshape(len(rows), p.size)
+    return cosines(p, vectors), vectors
 
 
 # -- aggregate -------------------------------------------------------------------
@@ -58,7 +41,7 @@ def _result(*vectors):
 def test_aggregate_zero_weights_identity():
     p = np.array([0.3, -0.8])
     config = AggregationConfig(w_q=0.0, w_v=0.0, k_q=1, k_v=1)
-    out = aggregate(p, _result((1.0, 0.0)), _result((0.0, 1.0)), config)
+    out = aggregate(p, _neighbours(p, (1.0, 0.0)), _neighbours(p, (0.0, 1.0)), config)
     assert np.array_equal(out, p)
     assert out is not p  # a copy, never the same buffer
 
@@ -66,49 +49,34 @@ def test_aggregate_zero_weights_identity():
 def test_aggregate_weighted_feature_hand_example():
     p = np.array([1.0, 0.0])
     config = AggregationConfig(w_q=0.6, w_v=0.4, k_q=1, k_v=1, mode="weighted_feature")
-    out = aggregate(p, _result((0.0, 1.0)), _result((1.0, 0.0)), config)
+    out = aggregate(p, _neighbours(p, (0.0, 1.0)), _neighbours(p, (1.0, 0.0)), config)
     assert np.allclose(out, [1.4, 0.0], atol=1e-15)
 
 
 def test_aggregate_scalar_broadcast_hand_example():
     p = np.array([1.0, 0.0])
     config = AggregationConfig(w_q=0.6, w_v=0.4, k_q=1, k_v=1, mode="scalar_broadcast")
-    out = aggregate(p, _result((0.0, 1.0)), _result((1.0, 0.0)), config)
+    out = aggregate(p, _neighbours(p, (0.0, 1.0)), _neighbours(p, (1.0, 0.0)), config)
     assert np.allclose(out, [1.4, 0.4], atol=1e-15)
 
 
 def test_aggregate_empty_results_contribute_zero():
     p = np.array([0.5, 0.5])
     config = AggregationConfig(w_q=0.6, w_v=0.4, k_q=2, k_v=2)
-    assert np.array_equal(aggregate(p, _result(), None, config), p)
+    assert np.array_equal(aggregate(p, _neighbours(p), None, config), p)
 
 
 def test_aggregate_disabled_database_contributes_zero():
     p = np.array([1.0, 0.0])
     config = AggregationConfig(w_q=0.6, w_v=0.4, k_q=1, k_v=1)
-    out = aggregate(p, None, _result((1.0, 0.0)), config)
+    out = aggregate(p, None, _neighbours(p, (1.0, 0.0)), config)
     assert np.allclose(out, [1.4, 0.0], atol=1e-15)  # only the D_v term
-
-
-def test_aggregate_truncates_to_depth():
-    p = np.array([1.0, 0.0])
-    config = AggregationConfig(w_q=1.0, w_v=0.0, k_q=1, k_v=1)
-    # second hit would change the result if k_q were not honored
-    out = aggregate(p, _result((1.0, 0.0), (1.0, 0.0)), None, config)
-    assert np.allclose(out, [2.0, 0.0], atol=1e-15)
 
 
 def test_aggregate_dimension_mismatch():
     config = AggregationConfig(k_q=1, k_v=1)
     with pytest.raises(ValueError):
-        aggregate(np.ones(3), _result((1.0, 0.0)), None, config)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_aggregate_rejects_non_finite_feature(bad):
-    config = AggregationConfig(k_q=1, k_v=1)
-    with pytest.raises(RetrievalError, match="non-finite"):
-        aggregate(np.array([bad, 1.0, 1.0]), _result((1.0, 0.0, 0.0)), None, config)
+        aggregate(np.ones(3), (np.ones(1), np.array([[1.0, 0.0]])), None, config)
 
 
 def test_aggregation_config_validation():
@@ -146,8 +114,8 @@ def test_aggregate_linear_in_weights(seed, w_q, w_v, mode):
     rng = np.random.default_rng(seed)
     d = 4
     p = rng.standard_normal(d)
-    r_q = _result(*rng.standard_normal((3, d)))
-    r_v = _result(*rng.standard_normal((2, d)))
+    r_q = _neighbours(p, *rng.standard_normal((2, d)))
+    r_v = _neighbours(p, *rng.standard_normal((2, d)))
     single = AggregationConfig(w_q=w_q, w_v=w_v, k_q=2, k_v=2, mode=mode)
     double = AggregationConfig(w_q=2 * w_q, w_v=2 * w_v, k_q=2, k_v=2, mode=mode)
     delta1 = aggregate(p, r_q, r_v, single) - p
@@ -188,7 +156,7 @@ def test_aggregate_matches_per_item_loop(seed, d, n_q, n_v, mode, zero_p):
                 expected = expected + (weight / depth) * _cos(p, r) * r
             else:
                 expected = expected + (weight / depth) * _cos(p, r)
-    got = aggregate(p, _result(*rows_q), _result(*rows_v), config)
+    got = aggregate(p, _neighbours(p, *rows_q[:4]), _neighbours(p, *rows_v[:3]), config)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
@@ -276,8 +244,10 @@ def test_augment_changes_exactly_the_extracted_positions(lexicon):
 @pytest.mark.parametrize("mode", ["weighted_feature", "scalar_broadcast"])
 @pytest.mark.parametrize("use_dq, use_dv", [(True, True), (True, False), (False, True)])
 def test_augment_matches_per_primitive_reference(lexicon, small_pair, mode, use_dq, use_dv):
-    """Each delta equals ``aggregate(p, retrieve(p, D_q), retrieve(p, D_v)) - p``
-    for that primitive alone, its own sources excluded."""
+    """Each delta equals what ``aggregate`` adds to that primitive's feature
+    alone, given a one-row ``search`` of each index with the sample's own
+    sources excluded: searching all of a sample's features at once moves
+    nothing beyond the last bits."""
     corpus = small_pair[0]
     vocabs = build_vocabularies(corpus)
     params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 6, 6, 3)
@@ -286,12 +256,20 @@ def test_augment_matches_per_primitive_reference(lexicon, small_pair, mode, use_
     config = AggregationConfig(k_q=3, k_v=5, mode=mode)
 
     for sample in corpus.samples[:40]:
-        qid, image_id = sample.question.id, sample.scene_graph.image_id
+        lookups = (
+            (index_q, config.k_q, sample.question.id),
+            (index_v, config.k_v, sample.scene_graph.image_id),
+        )
 
         def reference(p):
-            r_q = retrieve(p, index_q, config.k_q, qid) if index_q else None
-            r_v = retrieve(p, index_v, config.k_v, image_id) if index_v else None
-            return aggregate(p, r_q, r_v, config) - p
+            neighbours = []
+            for index, k, source in lookups:
+                if index is None:
+                    neighbours.append(None)
+                    continue
+                rows, sims = search(p[np.newaxis], index, k, exclude_source=source)
+                neighbours.append((sims[0], index.vectors[rows[0]]))
+            return aggregate(p, *neighbours, config) - p
 
         h_q, h_v, positions = _encoded(sample, params, vocabs, lexicon)
         want_q = np.zeros_like(h_q)
@@ -308,13 +286,10 @@ def test_augment_matches_per_primitive_reference(lexicon, small_pair, mode, use_
 def test_augment_excludes_own_sources(lexicon):
     corpus, vocabs, params, db_q, _, index_q, index_v = _training_setup(lexicon)
     sample = corpus.samples[0]
-    # a primitive whose only database context is this very sample must
-    # retrieve nothing of itself: check via a single-entry index
-    from ragvqa.primdb import retrieve
-
-    query = encode_question(params, question_token_ids(vocabs, sample.question.text))[2]
-    result = retrieve(query, index_q, k=index_q.size, exclude_source=sample.question.id)
-    assert all(item.record.source_id != sample.question.id for item in result.items)
+    # at full depth, no neighbour of the sample's own word comes from its question
+    query = encode_question(params, question_token_ids(vocabs, sample.question.text))[2:3]
+    rows, _ = search(query, index_q, k=index_q.size, exclude_source=sample.question.id)
+    assert all(index_q.records[row].source_id != sample.question.id for row in rows[0])
 
 
 # -- train -----------------------------------------------------------------------
@@ -449,6 +424,46 @@ def test_training_numbers_are_pinned(lexicon, small_pair, arm):
     )
     losses = [entry["mean_loss"] for entry in result.metrics]
     assert losses == pytest.approx(_PINNED_LOSSES[arm], rel=1e-9, abs=0.0)
+
+
+_GQA = PRESETS["gqa"]
+_PRESET = AggregationConfig(w_q=_GQA["w_q"], w_v=_GQA["w_v"], k_q=_GQA["k_q"], k_v=_GQA["k_v"])
+_ARMS = {
+    "plain": None,
+    "weighted_feature": _PRESET,
+    "scalar_broadcast": replace(_PRESET, mode="scalar_broadcast"),
+    "dq_only": replace(_PRESET, use_dv=False),
+    "dv_only": replace(_PRESET, use_dq=False),
+}
+
+
+@pytest.mark.parametrize("arm", list(_ARMS))
+def test_train_matches_reference(lexicon, small_pair, arm):
+    """``train`` computes the paper's algorithm as ``tests/reference.py``
+    states it in plain Python: the first 100 ``small_pair`` samples, two
+    epochs (so one index refresh), ``d = d_h = 8``, the gqa preset's
+    weights and depths. Every epoch's mean loss and every final parameter
+    agree to 1e-9 relative; the two differ only in summation order."""
+    corpus = make_corpus(list(small_pair[0].samples[:100]))
+    vocabs = build_vocabularies(corpus)
+    params = init_params(len(vocabs.words), len(vocabs.labels), len(vocabs.answers), 8, 8, 0)
+    db_q = build_dq(corpus, _GQA["t_q"], 0, lexicon)
+    db_v = build_dv(corpus, _GQA["t_v"], 0)
+    agg = _ARMS[arm]
+    result = train(
+        corpus, db_q, db_v, params, vocabs, lexicon,
+        TrainConfig(epochs=2, learning_rate=0.05), agg,
+    )
+    losses, flat = reference_train(
+        corpus,
+        db_q if agg is not None and agg.use_dq else None,
+        db_v if agg is not None and agg.use_dv else None,
+        params, vocabs, lexicon, 2, 0.05, agg,
+    )
+    assert [entry["mean_loss"] for entry in result.metrics] == pytest.approx(
+        losses, rel=1e-9, abs=0.0
+    )
+    assert result.params.flat == pytest.approx(flat, rel=1e-9, abs=0.0)
 
 
 def test_train_deterministic(lexicon):
