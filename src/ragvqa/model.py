@@ -41,6 +41,7 @@ __all__ = [
     "optimizer_step",
     "finite_difference_grad",
     "gradient_check",
+    "predict_answer",
     "answered_correctly",
     "corpus_accuracy",
     "save_checkpoint",
@@ -145,10 +146,6 @@ class ParamSet:
         if value.shape != view.shape:
             raise ModelError(f"{name} has shape {view.shape}, cannot assign shape {value.shape}")
         view[...] = value
-
-    @property
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(shape for _name, _span, shape in self._layout)
 
     @property
     def d(self) -> int:
@@ -453,6 +450,11 @@ class _Encoder:
         h_q = self.question(sample.question.text)
         h_v = np.array([self.object_row(obj) for obj in sample.scene_graph.objects])
         return self.vocabs.answers[int(np.argmax(forward(self.params, h_q, h_v)))]
+
+
+def predict_answer(params: ParamSet, vocabs: Vocabularies, sample: Sample) -> str:
+    """Argmax answer for one sample: the one-sample view of ``answered_correctly``."""
+    return _Encoder(params, vocabs).answer(sample)
 
 
 def answered_correctly(

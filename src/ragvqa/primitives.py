@@ -109,10 +109,9 @@ class Lexicon:
 def load_lexicon(path: str) -> Lexicon:
     """Load a lexicon from its JSON file format.
 
-    Format: ``{"pos": {word: tag}, "lemma_exceptions": {"word|tag": lemma}}``.
-    A file that is not JSON, not such an object, or holds an unknown key or
-    tag or a lemma that is not a lowercase word raises ValueError naming the
-    file and the offending key.
+    Format: ``{"pos": {word: tag}, "lemma_exceptions": {"word|tag": lemma}}``,
+    each lemma one token as ``tokenize`` yields it. Any other content raises
+    ValueError naming the file and the offending key.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,8 +134,8 @@ def _lexicon_from_raw(raw) -> Lexicon:
         word, bar, tag = key.partition("|")
         if not bar:
             raise ValueError(f"lemma exception key {key!r} is not 'word|tag'")
-        if not (isinstance(lemma, str) and lemma and lemma == lemma.lower()):
-            raise ValueError(f"key {key!r} has lemma {lemma!r}, not a lowercase word")
+        if not (isinstance(lemma, str) and tokenize(lemma) == [lemma]):
+            raise ValueError(f"key {key!r} has lemma {lemma!r}, not a single lowercase token")
         exceptions[(word, _tag(key, tag))] = lemma
     return Lexicon(pos_table=pos_table, lemma_exceptions=exceptions)
 

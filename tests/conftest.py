@@ -3,8 +3,6 @@ session-scoped synthetic corpus pair reused by the heavier tests."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import settings
 
@@ -20,12 +18,10 @@ from ragvqa.corpus import (
 from ragvqa.primitives import default_lexicon
 
 # Property tests draw the same examples on every tier-1 run, so a failure
-# belongs to the change that caused it. HYPOTHESIS_PROFILE=explore draws
-# fresh random examples instead. Each test's own @settings (max_examples,
-# deadline) hold under both profiles.
+# belongs to the change that caused it. Each test's own @settings
+# (max_examples, deadline) still hold.
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("explore", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

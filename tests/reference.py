@@ -97,7 +97,7 @@ def reference_train(corpus, db_q, db_v, params: ParamSet, vocabs, lexicon, epoch
         )
         if db is not None
     ]
-    flat, shapes = params.flat.copy(), params.shapes
+    flat, shapes = params.flat.copy(), [a.shape for a in params.arrays()]
     mean_losses = []
     for _epoch in range(epochs):
         current = ParamSet.from_flat(flat, shapes)

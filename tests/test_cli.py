@@ -133,10 +133,14 @@ def test_lexicon_file_round_trips_through_build_benchmark_and_train(workspace, t
         ('{"lemma_exceptions": {"geese": "goose"}}', "key 'geese' is not 'word|tag'"),
         ('{"pos": {"dog": "nounish"}}', "key 'dog' has unknown tag 'nounish'"),
         ('{"lemma_exceptions": {"geese|noun": 5}}', "key 'geese|noun' has lemma 5"),
+        ('{"lemma_exceptions": {"geese|noun": "two geese"}}', "has lemma 'two geese', not a"),
+        ('{"lemma_exceptions": {"geese|noun": "Goose"}}', "has lemma 'Goose', not a"),
+        ('{"lemma_exceptions": {"geese|noun": "goose!"}}', "has lemma 'goose!', not a"),
         ("pos = noun", "Expecting value"),
     ],
     ids=["not-an-object", "unknown-key", "section-not-an-object", "key-without-tag",
-         "unknown-tag", "lemma-not-a-word", "not-json"],
+         "unknown-tag", "lemma-not-a-string", "lemma-two-tokens", "lemma-not-lowercase",
+         "lemma-with-punctuation", "not-json"],
 )
 def test_bad_lexicon_file_is_a_named_runtime_error(workspace, tmp_path, capsys, text, message):
     path = tmp_path / "lexicon.json"

@@ -10,6 +10,7 @@ from ragvqa.model import (
     encode_image,
     encode_question,
     init_params,
+    predict_answer,
     question_token_ids,
     scene_object_ids,
 )
@@ -74,7 +75,8 @@ def test_evaluate_counts_are_consistent(tiny_world):
 def test_evaluate_matches_direct_prediction(tiny_world):
     corpus, vocabs, params = tiny_world
     report = evaluate(params, vocabs, _splits({"LV": ["q1"]}), corpus)
-    expected = float(answered_correctly(params, vocabs, corpus.samples[:1])[0])
+    predicted = predict_answer(params, vocabs, corpus.samples[0])
+    expected = 1.0 if predicted == "yes" else 0.0
     assert report.per_split_accuracy["LV"] == expected
 
 
@@ -167,8 +169,7 @@ def test_answered_correctly_equals_per_sample_encoding(repetitive_world, monkeyp
     assert len(outputs) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(outputs, want))
     assert got == _reference_correct(vocabs, samples, want)
-    encoder = model._Encoder(params, vocabs)
-    assert [encoder.answer(s) for s in samples[:20]] == [
+    assert [predict_answer(params, vocabs, s) for s in samples[:20]] == [
         vocabs.answers[int(np.argmax(p))] for p in want[:20]
     ]
 

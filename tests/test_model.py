@@ -76,10 +76,11 @@ def test_constructors_copy_or_wrap():
     built = ParamSet(*arrays)
     arrays[0][0, 0] = 7.0
     assert built.word_emb[0, 0] == params.word_emb[0, 0]
-    wrapped = ParamSet.from_flat(params.flat, params.shapes)
+    shapes = [a.shape for a in params.arrays()]
+    wrapped = ParamSet.from_flat(params.flat, shapes)
     assert np.shares_memory(wrapped.flat, params.flat)
     with pytest.raises(ModelError):
-        ParamSet.from_flat(params.flat[:-1], params.shapes)
+        ParamSet.from_flat(params.flat[:-1], shapes)
 
 
 def test_copy_and_zeros_like_are_independent_of_their_source():
@@ -87,7 +88,8 @@ def test_copy_and_zeros_like_are_independent_of_their_source():
     before = params.flat.copy()
     copied, zeros = params.copy(), params.zeros_like()
     assert np.array_equal(copied.flat, before)
-    assert np.all(zeros.flat == 0.0) and zeros.shapes == params.shapes
+    assert np.all(zeros.flat == 0.0)
+    assert [a.shape for a in zeros.arrays()] == [a.shape for a in params.arrays()]
     copied.w_in[0, 0] += 1.0
     zeros.b_h[0] = 1.0
     assert np.array_equal(params.flat, before)
@@ -351,7 +353,8 @@ def _reference_loss_and_grads(params, token_ids, objects, answer_index, q_delta,
 )
 def test_loss_and_grads_matches_per_token_reference(token_ids, objects, with_deltas, pre_encoded):
     base = init_params(8, 6, 4, d=4, d_h=5, seed=7)
-    params = ParamSet.from_flat(5.0 * base.flat, base.shapes)  # weights in +-0.5
+    shapes = [a.shape for a in base.arrays()]
+    params = ParamSet.from_flat(5.0 * base.flat, shapes)  # weights in +-0.5
     rng = np.random.default_rng(3)
     q_delta = 0.3 * rng.standard_normal((len(token_ids), 4)) if with_deltas else None
     v_delta = 0.3 * rng.standard_normal((len(objects), 4)) if with_deltas else None
@@ -399,7 +402,7 @@ def test_finite_difference_grad_matches_on_quadratic():
 
 def test_flat_round_trip():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=4)
-    rebuilt = ParamSet.from_flat(params.flat.copy(), params.shapes)
+    rebuilt = ParamSet.from_flat(params.flat.copy(), [a.shape for a in params.arrays()])
     assert np.array_equal(rebuilt.flat, params.flat)
     for a, b in zip(params.arrays(), rebuilt.arrays()):
         assert np.array_equal(a, b)
@@ -417,7 +420,7 @@ def test_optimizer_zero_gradients_no_change():
 
 def test_optimizer_zero_learning_rate_no_change():
     params = init_params(3, 3, 2, d=2, d_h=3, seed=0)
-    grads = ParamSet.from_flat(np.ones_like(params.flat), params.shapes)
+    grads = ParamSet.from_flat(np.ones_like(params.flat), [a.shape for a in params.arrays()])
     updated = optimizer_step(params, grads, 0.0)
     assert np.array_equal(params.flat, updated.flat)
 
@@ -435,7 +438,8 @@ def test_optimizer_single_coordinate_arithmetic():
 def test_optimizer_step_leaves_inputs_unchanged():
     params = init_params(5, 4, 3, d=3, d_h=4, seed=2)
     grads = ParamSet.from_flat(
-        np.random.default_rng(0).standard_normal(params.flat.size), params.shapes
+        np.random.default_rng(0).standard_normal(params.flat.size),
+        [a.shape for a in params.arrays()],
     )
     params_before, grads_before = params.flat.tobytes(), grads.flat.tobytes()
     updated = optimizer_step(params, grads, 0.1)
